@@ -41,15 +41,16 @@ let bands =
     (* re-measured after the group-layer fast paths (wNAF mul, Niels
        madd buckets): a calibration group-exp now costs ~299 point ops
        instead of ~331, which inflates every ratio by ~10%; the bands
-       bracket the new measured points (1.0, 48, 1.9, 15, 4.2, 1.4) with
+       bracket the measured points (1.0, 37.6, 1.9, 15, 4.2, 1.4) with
        margin only for the wNAF digit-count jitter of the random
        calibration scalars *)
     ("client-commit", (0.7, 1.6));
     (* absolute proof-gen cost at CI scale is dominated by the range
        proofs' O(k*b_ip + b_max) committed bits (~5 ge per bit), which the
        asymptotic d/log d row drops; the marginal stage below carries the
-       tight check of the d-scaling claim *)
-    ("client-proofgen", (25.0, 90.0));
+       tight check of the d-scaling claim. A prover that re-bases h' with
+       one multiplication per bit again measures 47.9, above the band *)
+    ("client-proofgen", (30.0, 45.0));
     ("proofgen-marginal", (0.8, 3.5));
     ("server-prep", (8.0, 25.0));
     ("server-verify", (2.0, 7.0));
@@ -100,7 +101,13 @@ let measure_proofgen ~n ~m ~d ~k ~seed =
 let run ?(n = 3) ?(m = 1) ?(d = 256) ?(k = 4) ?(seed = "table1-check") () =
   let was_enabled = Telemetry.enabled () in
   Telemetry.enable ();
-  Fun.protect ~finally:(fun () -> if not was_enabled then Telemetry.disable ())
+  (* add/double counts follow the Pippenger chunk layout, which moves with
+     the job count; one job keeps the measured ratios reproducible *)
+  let jobs = Parallel.default_jobs () in
+  Parallel.set_default_jobs 1;
+  Fun.protect ~finally:(fun () ->
+      Parallel.set_default_jobs jobs;
+      if not was_enabled then Telemetry.disable ())
   @@ fun () ->
   (* synthetic honest workload, same shape as the bench harness *)
   let udrbg = Prng.Drbg.create_string (seed ^ "/updates") in

@@ -40,8 +40,9 @@ type report = {
 
 val run : ?n:int -> ?m:int -> ?d:int -> ?k:int -> ?seed:string -> unit -> report
 (** Defaults: [n = 3], [m = 1], [d = 256], [k = 4] — small enough for CI,
-    large enough that d dominates k.  Temporarily enables telemetry
-    (restoring the previous state), and raises [Failure] if the honest
+    large enough that d dominates k.  Temporarily enables telemetry and
+    pins {!Parallel.default_jobs} to 1 (restoring both), so the measured
+    counts do not depend on [RISEFL_JOBS]; raises [Failure] if the honest
     round itself misbehaves (a proof rejected, aggregation failing). *)
 
 val to_table : report -> string

@@ -4,53 +4,75 @@ module Msm = Curve25519.Msm
 
 type proof = { ls : Point.t array; rs : Point.t array; a : Scalar.t; b : Scalar.t }
 
-let dot a b =
-  let acc = ref Scalar.zero in
-  Array.iteri (fun i ai -> acc := Scalar.add !acc (Scalar.mul ai b.(i))) a;
-  !acc
-
 let is_pow2 n = n > 0 && n land (n - 1) = 0
 
-let prove tr ~g ~h ~u ~a ~b =
+(* Each round halves the live prefix of the working vectors. A fold writes
+   index i from indices i and i + half only, so after the first round
+   (which reads the caller's arrays) the folds run in place over one set
+   of half-length buffers, chunked across the pool by index. L and R are
+   independent MSMs and run as two tasks. Transcript appends and
+   challenges stay on the calling domain, in protocol order, so the proof
+   bytes do not depend on the job count. *)
+let prove ?h_factors tr ~g ~h ~u ~a ~b =
   let n = Array.length g in
   if not (is_pow2 n) then invalid_arg "Ipa.prove: length must be a power of two";
   if Array.length h <> n || Array.length a <> n || Array.length b <> n then
     invalid_arg "Ipa.prove: length mismatch";
-  let g = ref (Array.copy g) and h = ref (Array.copy h) in
-  let a = ref (Array.copy a) and b = ref (Array.copy b) in
+  (match h_factors with
+  | Some f when Array.length f <> n -> invalid_arg "Ipa.prove: length mismatch"
+  | _ -> ());
+  let a = Array.copy a and b = Array.copy b in
+  let gd = Array.make (n / 2) Point.identity and hd = Array.make (n / 2) Point.identity in
+  let gs = ref g and hs = ref h and factors = ref h_factors in
   let ls = ref [] and rs = ref [] in
-  while Array.length !a > 1 do
-    let n = Array.length !a in
-    let half = n / 2 in
-    let a_lo = Array.sub !a 0 half and a_hi = Array.sub !a half half in
-    let b_lo = Array.sub !b 0 half and b_hi = Array.sub !b half half in
-    let g_lo = Array.sub !g 0 half and g_hi = Array.sub !g half half in
-    let h_lo = Array.sub !h 0 half and h_hi = Array.sub !h half half in
-    (* L = g_hi^{a_lo} h_lo^{b_hi} u^{<a_lo, b_hi>} *)
-    let l =
+  let len = ref n in
+  while !len > 1 do
+    let half = !len / 2 in
+    let g = !gs and h = !hs in
+    (* the coefficient b_k of generator h_j, times h_j's factor in the first round *)
+    let hcoef k j = match !factors with Some f -> Scalar.mul b.(k) f.(j) | None -> b.(k) in
+    let cross side =
+      (* side 0: L = g_hi^{a_lo} h_lo^{b_hi} u^{<a_lo, b_hi>}; side 1: R, the mirror *)
+      let lo, hi = if side = 0 then (0, half) else (half, 0) in
+      let c = ref Scalar.zero in
+      for i = 0 to half - 1 do
+        c := Scalar.add !c (Scalar.mul a.(lo + i) b.(hi + i))
+      done;
       Msm.msm
-        (Array.append
-           (Array.append (Array.map2 (fun s p -> (s, p)) a_lo g_hi) (Array.map2 (fun s p -> (s, p)) b_hi h_lo))
-           [| (dot a_lo b_hi, u) |])
+        (Array.init ((2 * half) + 1) (fun i ->
+             if i < half then (a.(lo + i), g.(hi + i))
+             else if i < 2 * half then
+               let i = i - half in
+               (hcoef (hi + i) (lo + i), h.(lo + i))
+             else (!c, u)))
     in
-    let r =
-      Msm.msm
-        (Array.append
-           (Array.append (Array.map2 (fun s p -> (s, p)) a_hi g_lo) (Array.map2 (fun s p -> (s, p)) b_lo h_hi))
-           [| (dot a_hi b_lo, u) |])
-    in
-    Transcript.append_point tr ~label:"ipa/L" l;
-    Transcript.append_point tr ~label:"ipa/R" r;
-    ls := l :: !ls;
-    rs := r :: !rs;
+    let lr = Parallel.parallel_init 2 cross in
+    Transcript.append_point tr ~label:"ipa/L" lr.(0);
+    Transcript.append_point tr ~label:"ipa/R" lr.(1);
+    ls := lr.(0) :: !ls;
+    rs := lr.(1) :: !rs;
     let x = Transcript.challenge_nonzero tr ~label:"ipa/x" in
     let xinv = Scalar.inv x in
-    a := Array.init half (fun i -> Scalar.add (Scalar.mul a_lo.(i) x) (Scalar.mul a_hi.(i) xinv));
-    b := Array.init half (fun i -> Scalar.add (Scalar.mul b_lo.(i) xinv) (Scalar.mul b_hi.(i) x));
-    g := Array.init half (fun i -> Point.double_mul xinv g_lo.(i) x g_hi.(i));
-    h := Array.init half (fun i -> Point.double_mul x h_lo.(i) xinv h_hi.(i))
+    let hx, hxinv =
+      match !factors with
+      | Some f -> ((fun i -> Scalar.mul x f.(i)), fun i -> Scalar.mul xinv f.(half + i))
+      | None -> ((fun _ -> x), fun _ -> xinv)
+    in
+    Parallel.parallel_for ~lo:0 ~hi:half (fun lo hi ->
+        for i = lo to hi - 1 do
+          gd.(i) <- Point.double_mul xinv g.(i) x g.(half + i);
+          hd.(i) <- Point.double_mul (hx i) h.(i) (hxinv i) h.(half + i)
+        done);
+    for i = 0 to half - 1 do
+      a.(i) <- Scalar.add (Scalar.mul a.(i) x) (Scalar.mul a.(half + i) xinv);
+      b.(i) <- Scalar.add (Scalar.mul b.(i) xinv) (Scalar.mul b.(half + i) x)
+    done;
+    gs := gd;
+    hs := hd;
+    factors := None;
+    len := half
   done;
-  { ls = Array.of_list (List.rev !ls); rs = Array.of_list (List.rev !rs); a = !a.(0); b = !b.(0) }
+  { ls = Array.of_list (List.rev !ls); rs = Array.of_list (List.rev !rs); a = a.(0); b = b.(0) }
 
 let verify tr ~g ~h ~u ~p proof =
   let n = Array.length g in

@@ -15,11 +15,30 @@ type proof = {
   b : Scalar.t;  (** final folded b *)
 }
 
-(** [prove tr ~g ~h ~u ~a ~b]. Lengths of [g], [h], [a], [b] must be an
-    equal power of two. The caller must already have absorbed P into the
-    transcript. *)
+(** [prove ?h_factors tr ~g ~h ~u ~a ~b]. Lengths of [g], [h], [a], [b]
+    (and [h_factors]) must be an equal power of two. The caller must
+    already have absorbed P into the transcript.
+
+    [h_factors] = [f] proves over the re-based generators hᵢ' = hᵢ^{fᵢ}
+    without computing them: the proof is byte-identical to
+    [prove tr ~g ~h:h' ~u ~a ~b]. The factors scale the h-side MSM
+    coefficients and fold scalars of the first round only; later rounds
+    run over the already-folded generators.
+
+    The L/R cross terms of each round run as two pool tasks and the
+    generator folds are chunked over the pool by index; transcript
+    appends and challenges stay on the calling domain in protocol order,
+    so the proof bytes are the same for every job count. Called inside
+    an outer parallel region, the prover runs inline. *)
 val prove :
-  Transcript.t -> g:Point.t array -> h:Point.t array -> u:Point.t -> a:Scalar.t array -> b:Scalar.t array -> proof
+  ?h_factors:Scalar.t array ->
+  Transcript.t ->
+  g:Point.t array ->
+  h:Point.t array ->
+  u:Point.t ->
+  a:Scalar.t array ->
+  b:Scalar.t array ->
+  proof
 
 (** [verify tr ~g ~h ~u ~p proof] checks the argument for commitment [p]
     with a single multi-scalar multiplication. *)

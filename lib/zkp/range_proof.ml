@@ -101,12 +101,13 @@ let prove ?g_table ?h_table drbg tr ~gens ~g ~h ~bits ~values ~blinds =
   in
   let ar = Array.map (fun b -> Scalar.sub b Scalar.one) al in
   let alpha = Scalar.random drbg in
-  let a_pt =
-    Msm.msm
-      (Array.append
-         [| (alpha, h) |]
-         (Array.append (Array.mapi (fun i b -> (b, gv.(i))) al) (Array.mapi (fun i b -> (b, hv.(i))) ar)))
-  in
+  (* A = h^alpha g^{a_L} h^{a_R} with bits in {0, 1} and {0, -1}: a signed
+     subset sum of the generators, nt additions instead of an MSM *)
+  let a_pt = ref (tmul h_table alpha h) in
+  Array.iteri
+    (fun i b -> a_pt := if Scalar.is_zero b then Point.sub !a_pt hv.(i) else Point.add !a_pt gv.(i))
+    al;
+  let a_pt = !a_pt in
   let sl = Array.init nt (fun _ -> Scalar.random drbg) in
   let sr = Array.init nt (fun _ -> Scalar.random drbg) in
   let rho = Scalar.random drbg in
@@ -152,11 +153,9 @@ let prove ?g_table ?h_table drbg tr ~gens ~g ~h ~bits ~values ~blinds =
   Transcript.append_scalar tr ~label:"rp/mu" mu;
   let w = Transcript.challenge_nonzero tr ~label:"rp/w" in
   let u_x = Point.mul w gens.u in
-  (* h'_i = h_i^{y^-i}; the IPA runs over (gv, h') *)
-  let yinv = Scalar.inv y in
-  let yinv_pows = powers yinv nt in
-  let hv' = Array.init nt (fun i -> Point.mul yinv_pows.(i) hv.(i)) in
-  let ipa = Ipa.prove tr ~g:gv ~h:hv' ~u:u_x ~a:l ~b:r in
+  (* the IPA runs over (gv, h') with h'_i = h_i^{y^-i}; the factors ride
+     in its first-round scalars instead of nt point multiplications *)
+  let ipa = Ipa.prove ~h_factors:(powers (Scalar.inv y) nt) tr ~g:gv ~h:hv ~u:u_x ~a:l ~b:r in
   { a = a_pt; s = s_pt; t1 = t1_pt; t2 = t2_pt; t_hat; tau_x; mu; ipa }
 
 let verify tr ~gens ~g ~h ~bits ~commitments proof =

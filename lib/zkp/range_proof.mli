@@ -38,7 +38,15 @@ type proof = {
     g^{v_j}·h^{γ_j} with [blinds.(j)] = γ_j. The commitments themselves
     are recomputed and absorbed, so prover and verifier bind the same
     statement. [g_table]/[h_table] are optional fixed-base window tables
-    for [g]/[h] used for the value, T1 and T2 commitments.
+    for [g]/[h] used for the value, A, T1 and T2 commitments.
+
+    The prover does no per-bit scalar multiplication: A is a signed
+    subset sum of the generators (the bits are 0/1 and 0/−1), and the
+    re-basing hᵢ' = hᵢ^{y^{-i}} rides in the inner-product argument's
+    first-round scalars ({!Ipa.prove}'s [h_factors]). S and the IPA
+    rounds use the {!Parallel} pool; the proof bytes are the same for
+    every job count, and a call inside an outer parallel region runs
+    inline.
     @raise Invalid_argument on bad shapes, bits, or out-of-range values. *)
 val prove :
   ?g_table:Point.Table.table ->

@@ -352,6 +352,252 @@ let test_wf_cross_client_transcripts () =
   let bad = { proof with Sigma.Wf.zv = Array.sub proof.Sigma.Wf.zv 0 1 } in
   Alcotest.(check bool) "truncated zv" false (Sigma.Wf.verify tv ~g ~q ~hs ~z ~es ~os bad)
 
+(* --- differential: the prover against the textbook formulation --- *)
+
+(* The prover as first written, kept as the oracle: h' = h_i^{y^-i}
+   materialized with one scalar multiplication per bit, A as a full MSM,
+   and a sequential IPA that copies its vectors every round. The library
+   prover must emit the same bytes at every job count. *)
+module Reference = struct
+  module Msm = Curve25519.Msm
+
+  let dot a b =
+    let acc = ref Scalar.zero in
+    Array.iteri (fun i ai -> acc := Scalar.add !acc (Scalar.mul ai b.(i))) a;
+    !acc
+
+  let powers x n =
+    let a = Array.make n Scalar.one in
+    for i = 1 to n - 1 do
+      a.(i) <- Scalar.mul a.(i - 1) x
+    done;
+    a
+
+  let ipa_prove tr ~g ~h ~u ~a ~b =
+    let g = ref g and h = ref h and a = ref a and b = ref b in
+    let ls = ref [] and rs = ref [] in
+    while Array.length !a > 1 do
+      let half = Array.length !a / 2 in
+      let lo v = Array.sub !v 0 half and hi v = Array.sub !v half half in
+      let a_lo = lo a and a_hi = hi a and b_lo = lo b and b_hi = hi b in
+      let g_lo = lo g and g_hi = hi g and h_lo = lo h and h_hi = hi h in
+      let pairs = Array.map2 (fun s p -> (s, p)) in
+      let l = Msm.msm (Array.concat [ pairs a_lo g_hi; pairs b_hi h_lo; [| (dot a_lo b_hi, u) |] ]) in
+      let r = Msm.msm (Array.concat [ pairs a_hi g_lo; pairs b_lo h_hi; [| (dot a_hi b_lo, u) |] ]) in
+      Transcript.append_point tr ~label:"ipa/L" l;
+      Transcript.append_point tr ~label:"ipa/R" r;
+      ls := l :: !ls;
+      rs := r :: !rs;
+      let x = Transcript.challenge_nonzero tr ~label:"ipa/x" in
+      let xinv = Scalar.inv x in
+      a := Array.init half (fun i -> Scalar.add (Scalar.mul a_lo.(i) x) (Scalar.mul a_hi.(i) xinv));
+      b := Array.init half (fun i -> Scalar.add (Scalar.mul b_lo.(i) xinv) (Scalar.mul b_hi.(i) x));
+      g := Array.init half (fun i -> Point.double_mul xinv g_lo.(i) x g_hi.(i));
+      h := Array.init half (fun i -> Point.double_mul x h_lo.(i) xinv h_hi.(i))
+    done;
+    { Ipa.ls = Array.of_list (List.rev !ls); rs = Array.of_list (List.rev !rs); a = !a.(0); b = !b.(0) }
+
+  let range_prove drbg tr ~gens ~g ~h ~bits ~values ~blinds =
+    let m_orig = Array.length values in
+    let m = ref 1 in
+    while !m < m_orig do
+      m := 2 * !m
+    done;
+    let m = !m in
+    let values = Array.append values (Array.make (m - m_orig) Bigint.zero) in
+    let blinds = Array.append blinds (Array.make (m - m_orig) Scalar.zero) in
+    let nt = bits * m in
+    let gv = Array.sub gens.Range_proof.gv 0 nt and hv = Array.sub gens.Range_proof.hv 0 nt in
+    let commitments =
+      Array.init m_orig (fun j -> Point.double_mul (Scalar.of_bigint values.(j)) g blinds.(j) h)
+    in
+    Transcript.append_int tr ~label:"rp/bits" bits;
+    Transcript.append_point tr ~label:"rp/g" g;
+    Transcript.append_point tr ~label:"rp/h" h;
+    Transcript.append_points tr ~label:"rp/V" commitments;
+    let al =
+      Array.init nt (fun i -> if Bigint.testbit values.(i / bits) (i mod bits) then Scalar.one else Scalar.zero)
+    in
+    let ar = Array.map (fun b -> Scalar.sub b Scalar.one) al in
+    let vec_commit blind l r =
+      Msm.msm
+        (Array.concat [ [| (blind, h) |]; Array.mapi (fun i s -> (s, gv.(i))) l; Array.mapi (fun i s -> (s, hv.(i))) r ])
+    in
+    let alpha = Scalar.random drbg in
+    let a_pt = vec_commit alpha al ar in
+    let sl = Array.init nt (fun _ -> Scalar.random drbg) in
+    let sr = Array.init nt (fun _ -> Scalar.random drbg) in
+    let rho = Scalar.random drbg in
+    let s_pt = vec_commit rho sl sr in
+    Transcript.append_point tr ~label:"rp/A" a_pt;
+    Transcript.append_point tr ~label:"rp/S" s_pt;
+    let y = Transcript.challenge_nonzero tr ~label:"rp/y" in
+    let z = Transcript.challenge_nonzero tr ~label:"rp/z" in
+    let ys = powers y nt in
+    let zjs = powers z (m + 2) in
+    let zv = Array.init nt (fun i -> Scalar.mul zjs.(2 + (i / bits)) (Scalar.of_bigint (Bigint.shift_left Bigint.one (i mod bits)))) in
+    let l0 = Array.map (fun b -> Scalar.sub b z) al in
+    let r0 = Array.mapi (fun i b -> Scalar.add (Scalar.mul ys.(i) (Scalar.add b z)) zv.(i)) ar in
+    let r1 = Array.mapi (fun i s -> Scalar.mul ys.(i) s) sr in
+    let t0 = dot l0 r0 and t2 = dot sl r1 in
+    let t1 = Scalar.sub (Scalar.sub (dot (Array.map2 Scalar.add l0 sl) (Array.map2 Scalar.add r0 r1)) t0) t2 in
+    let tau1 = Scalar.random drbg and tau2 = Scalar.random drbg in
+    let t1_pt = Point.double_mul t1 g tau1 h and t2_pt = Point.double_mul t2 g tau2 h in
+    Transcript.append_point tr ~label:"rp/T1" t1_pt;
+    Transcript.append_point tr ~label:"rp/T2" t2_pt;
+    let x = Transcript.challenge_nonzero tr ~label:"rp/x" in
+    let l = Array.init nt (fun i -> Scalar.add l0.(i) (Scalar.mul sl.(i) x)) in
+    let r = Array.init nt (fun i -> Scalar.add r0.(i) (Scalar.mul r1.(i) x)) in
+    let t_hat = dot l r in
+    let blind_term = ref Scalar.zero in
+    Array.iteri (fun j gamma -> blind_term := Scalar.add !blind_term (Scalar.mul zjs.(j + 2) gamma)) blinds;
+    let tau_x = Scalar.add (Scalar.add (Scalar.mul tau1 x) (Scalar.mul tau2 (Scalar.square x))) !blind_term in
+    let mu = Scalar.add alpha (Scalar.mul rho x) in
+    Transcript.append_scalar tr ~label:"rp/t_hat" t_hat;
+    Transcript.append_scalar tr ~label:"rp/tau_x" tau_x;
+    Transcript.append_scalar tr ~label:"rp/mu" mu;
+    let w = Transcript.challenge_nonzero tr ~label:"rp/w" in
+    let u_x = Point.mul w gens.Range_proof.u in
+    let yinv_pows = powers (Scalar.inv y) nt in
+    let hv' = Array.init nt (fun i -> Point.mul yinv_pows.(i) hv.(i)) in
+    let ipa = ipa_prove tr ~g:gv ~h:hv' ~u:u_x ~a:l ~b:r in
+    { Range_proof.a = a_pt; s = s_pt; t1 = t1_pt; t2 = t2_pt; t_hat; tau_x; mu; ipa }
+end
+
+let ipa_bytes (p : Ipa.proof) =
+  String.concat ""
+    (List.map (fun q -> Bytes.to_string (Point.compress q)) (Array.to_list p.Ipa.ls @ Array.to_list p.Ipa.rs)
+    @ List.map (fun s -> Bytes.to_string (Scalar.to_bytes s)) [ p.Ipa.a; p.Ipa.b ])
+
+let proof_bytes (p : Range_proof.proof) =
+  String.concat ""
+    (List.map (fun q -> Bytes.to_string (Point.compress q)) [ p.Range_proof.a; p.s; p.t1; p.t2 ]
+    @ List.map (fun s -> Bytes.to_string (Scalar.to_bytes s)) [ p.t_hat; p.tau_x; p.mu ]
+    @ [ ipa_bytes p.ipa ])
+
+let with_jobs j f =
+  let saved = Parallel.default_jobs () in
+  Parallel.set_default_jobs j;
+  Fun.protect ~finally:(fun () -> Parallel.set_default_jobs saved) f
+
+(* point.scalarmul and msm.points are fixed by the algorithm alone; add,
+   double and madd also follow the MSM chunk layout, which moves with the
+   job count *)
+let op_counters = [ "point.add"; "point.double"; "point.madd"; "point.scalarmul"; "msm.points" ]
+let jobs_invariant = [ "point.scalarmul"; "msm.points" ]
+
+(* [f ()] and the deltas of [op_counters] it caused *)
+let count_ops f =
+  let cells = List.map Telemetry.Counter.make op_counters in
+  let was_enabled = Telemetry.enabled () in
+  Telemetry.enable ();
+  Fun.protect ~finally:(fun () -> if not was_enabled then Telemetry.disable ()) @@ fun () ->
+  let before = List.map Telemetry.Counter.value cells in
+  let r = f () in
+  (r, List.map2 (fun c b -> Telemetry.Counter.value c - b) cells before)
+
+let invariant_ops ops = List.filter_map (fun (n, v) -> if List.mem n jobs_invariant then Some v else None) (List.combine op_counters ops)
+
+let diff_gens = lazy (Range_proof.make_gens ~label:"zkp-diff" 4096)
+
+(* seeded statement: values in [0, 2^bits), the extremes included *)
+let diff_case ~bits ~m =
+  let d = Prng.Drbg.create_string (Printf.sprintf "zkp-diff/%d/%d" bits m) in
+  let top = Bigint.sub (Bigint.shift_left Bigint.one bits) Bigint.one in
+  let values =
+    Array.init m (fun j ->
+        if j = 0 then top else if j = 1 then Bigint.zero else Bigint.random ~bits (Prng.Drbg.rand26 d))
+  in
+  let blinds = Array.map (fun _ -> Scalar.random d) values in
+  (values, blinds)
+
+let test_range_differential () =
+  let gens = Lazy.force diff_gens in
+  List.iter
+    (fun (bits, m) ->
+      let values, blinds = diff_case ~bits ~m in
+      let commitments = Array.map2 (fun v r -> Point.double_mul (Scalar.of_bigint v) g r h) values blinds in
+      let seed = Printf.sprintf "zkp-diff/prover/%d/%d" bits m in
+      let prove_with f = f (Prng.Drbg.create_string seed) (Transcript.create "rp-diff") in
+      let expected =
+        proof_bytes (prove_with (fun drbg tr -> Reference.range_prove drbg tr ~gens ~g ~h ~bits ~values ~blinds))
+      in
+      let runs =
+        List.map
+          (fun jobs ->
+            let proof, ops =
+              with_jobs jobs (fun () ->
+                  count_ops (fun () ->
+                      prove_with (fun drbg tr -> Range_proof.prove drbg tr ~gens ~g ~h ~bits ~values ~blinds)))
+            in
+            let name = Printf.sprintf "bits=%d m=%d jobs=%d" bits m jobs in
+            Alcotest.(check string) (name ^ " bytes") expected (proof_bytes proof);
+            (name, proof, invariant_ops ops))
+          [ 1; 2; 4 ]
+      in
+      let _, proof, ops1 = List.hd runs in
+      List.iter (fun (name, _, ops) -> Alcotest.(check (list int)) (name ^ " scalarmul, msm.points") ops1 ops) runs;
+      (* the three proofs are the same bytes, so one check of each verifier covers them *)
+      let name = Printf.sprintf "bits=%d m=%d" bits m in
+      Alcotest.(check bool) (name ^ " verify") true
+        (Range_proof.verify (Transcript.create "rp-diff") ~gens ~g ~h ~bits ~commitments proof);
+      let acc = Curve25519.Msm.Acc.create () in
+      let rd = Prng.Drbg.create_string (seed ^ "/rho") in
+      let ok =
+        Range_proof.accumulate ~rho:(fun () -> Scalar.random rd) ~push:(Curve25519.Msm.Acc.push acc)
+          (Transcript.create "rp-diff") ~gens ~g ~h ~bits ~commitments proof
+      in
+      Alcotest.(check bool) (name ^ " accumulate") true (ok && Curve25519.Msm.Acc.is_identity acc))
+    (List.concat_map (fun bits -> List.map (fun m -> (bits, m)) [ 1; 3; 6; 32 ]) [ 2; 8; 32; 128 ])
+
+let test_ipa_factors () =
+  List.iter
+    (fun n ->
+      let gv = Array.sub bp_gens.Range_proof.gv 0 n and hv = Array.sub bp_gens.Range_proof.hv 0 n in
+      let u = bp_gens.Range_proof.u in
+      let a = Array.init n (fun _ -> Scalar.random drbg) in
+      let b = Array.init n (fun _ -> Scalar.random drbg) in
+      let f = Array.init n (fun _ -> Scalar.random drbg) in
+      let hv' = Array.map2 Point.mul f hv in
+      let run prove = ipa_bytes (prove (Transcript.create "ipa-f")) in
+      let expected = run (fun tr -> Reference.ipa_prove tr ~g:gv ~h:hv' ~u ~a ~b) in
+      let name = Printf.sprintf "n=%d" n in
+      Alcotest.(check string) (name ^ " over h'") expected (run (fun tr -> Ipa.prove tr ~g:gv ~h:hv' ~u ~a ~b));
+      List.iter
+        (fun jobs ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s factors jobs=%d" name jobs)
+            expected
+            (with_jobs jobs (fun () -> run (fun tr -> Ipa.prove ~h_factors:f tr ~g:gv ~h:hv ~u ~a ~b))))
+        [ 1; 2; 4 ])
+    [ 1; 2; 8; 64 ]
+
+(* --- op-count budget of one proof --- *)
+
+(* Exact counts of one client-shaped proof (fixed-base tables for g, h) at
+   jobs = 1: per-bit scalar multiplications or an MSM-built A coming back
+   moves them. The differential test checks the jobs-invariant ones at
+   other job counts. *)
+let test_prove_op_budget () =
+  let gens = Lazy.force diff_gens in
+  let g_table = Point.Table.make g and h_table = Point.Table.make h in
+  List.iter
+    (fun (label, bits, m, expected) ->
+      let values, blinds = diff_case ~bits ~m in
+      let (), ops =
+        with_jobs 1 (fun () ->
+            count_ops (fun () ->
+                ignore
+                  (Range_proof.prove ~g_table ~h_table (Prng.Drbg.create_string "zkp-budget")
+                     (Transcript.create "rp-budget") ~gens ~g ~h ~bits ~values ~blinds)))
+      in
+      List.iter2 (fun name (e, got) -> Alcotest.(check int) (label ^ " " ^ name) e got) op_counters
+        (List.combine expected ops))
+    [
+      ("sigma", 32, 32, [ 584513; 521872; 190716; 4162; 6161 ]);
+      ("mu", 128, 1, [ 99401; 68034; 36832; 516; 779 ]);
+    ]
+
 let () =
   Alcotest.run "zkp"
     [
@@ -383,6 +629,7 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_ipa_roundtrip;
           Alcotest.test_case "rejects" `Quick test_ipa_rejects_wrong_p;
+          Alcotest.test_case "h factors equal materialized h'" `Quick test_ipa_factors;
         ] );
       ( "range",
         [
@@ -394,6 +641,8 @@ let () =
           Alcotest.test_case "size logarithmic" `Quick test_range_proof_size_logarithmic;
           Alcotest.test_case "wrong bits at verify" `Quick test_range_wrong_bits_at_verify;
           Alcotest.test_case "swapped bases" `Quick test_range_swapped_bases;
+          Alcotest.test_case "byte-identical to reference prover" `Slow test_range_differential;
+          Alcotest.test_case "prove op-count budget" `Slow test_prove_op_budget;
         ] );
       ( "mutations",
         [
