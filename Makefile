@@ -74,14 +74,14 @@ recovery-smoke:
 	@grep -q '"name": "wal-bytes-per-round"' /tmp/recovery-smoke.json \
 	  || { echo "recovery-smoke: WAL overhead records missing from bench JSON" >&2; exit 1; }
 
-# Group-layer gate: the fast-path differential suite (C fe-mul stub vs
-# pure OCaml, wNAF vs double-and-add, cached vs rebuilt tables
-# bit-identical, BSGS edge cases), once more with the C stub enabled for
-# the whole suite, then the group bench smoke — the build fails if the
-# warm-cache precompute speedup falls below 2x over a cold build.
+# Group-layer gate: the fast-path differential suite (in-place kernels
+# vs the allocating seed formulas, limb for limb and op count for op
+# count, plus their allocation budget; wNAF vs double-and-add, cached vs
+# rebuilt tables bit-identical, BSGS edge cases), then the group bench
+# smoke — the build fails if the warm-cache precompute speedup falls
+# below 2x over a cold build.
 group-smoke:
 	dune exec test/test_group_fast.exe
-	RISEFL_FE_STUB=1 dune exec test/test_group_fast.exe
 	dune exec bench/main.exe -- group --smoke --json /tmp/group-smoke.json --gate-group 2.0
 	@grep -q '"name": "precompute-speedup"' /tmp/group-smoke.json \
 	  || { echo "group-smoke: precompute records missing from bench JSON" >&2; exit 1; }

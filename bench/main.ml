@@ -9,6 +9,7 @@
      fig7    Figure 7 — RiseFL stage breakdown vs k
      fig8    Figure 8 — FL training curves under attacks, three checkers
      micro   §6.2     — Bechamel micro-benchmarks of the primitive costs
+     units   group-layer unit costs: ns/op and minor words/op at jobs = 1
      ablate  DESIGN.md ablations — naive vs optimized projection check
      faults  fault-injected transport degradation ladder (EXPERIMENTS.md)
      recovery  WAL overhead (bytes/round, fsyncs, wall-clock) + crash recovery
@@ -577,6 +578,67 @@ and run_parallel_scaling () =
       pf "%-26s %6d %12.4f %8.2fx\n" (Printf.sprintf "commit-vec (d=%d)" dc) jobs s
         (speedup !base_cv s))
     ladder;
+  Parallel.set_default_jobs saved_jobs
+
+(* ------------------------------------------------------------------ *)
+(* Unit costs of the group layer                                       *)
+
+(* ns/op (median and quartiles over timed batches) and minor-heap words
+   per op, at jobs = 1: the unit costs that telemetry op counts multiply
+   into stage costs.  The words column repeats exactly for fixed inputs. *)
+let run_units () =
+  pf "================ Group-layer unit costs (jobs = 1) ================\n";
+  let module Fe = Curve25519.Fe in
+  let saved_jobs = Parallel.default_jobs () in
+  Parallel.set_default_jobs 1;
+  let drbg = Prng.Drbg.create_string (ns_seed "units") in
+  let carried () = Fe.mul (Fe.of_bigint (Bigint.random ~bits:255 (Prng.Drbg.rand26 drbg))) Fe.one in
+  let a = carried () and b = carried () in
+  let p = Point.mul_base (Scalar.random drbg) and q = Point.mul_base (Scalar.random drbg) in
+  let s = Scalar.random drbg and t = Scalar.random drbg in
+  let nq = (Point.to_niels_batch [| q |]).(0) in
+  let tbl = Point.Table.make p in
+  let pairs = Array.init 1025 (fun _ -> (Scalar.random drbg, Point.mul_base (Scalar.random drbg))) in
+  let scale = if config.smoke then 10 else 1 in
+  let reps = if config.smoke then 5 else 11 in
+  pf "%-16s %12s %12s %12s %14s\n" "op" "median" "q1" "q3" "minor words";
+  List.iter
+    (fun (name, iters, f) ->
+      let iters = Stdlib.max 1 (iters / scale) in
+      ignore (Sys.opaque_identity (f ()));
+      let w0 = Gc.minor_words () in
+      ignore (Sys.opaque_identity (f ()));
+      let words = Gc.minor_words () -. w0 in
+      let samples =
+        Array.init reps (fun _ ->
+            let t0 = Telemetry.Clock.now_s () in
+            for _ = 1 to iters do
+              ignore (Sys.opaque_identity (f ()))
+            done;
+            (Telemetry.Clock.now_s () -. t0) /. float_of_int iters)
+      in
+      Array.sort compare samples;
+      let q i = samples.(i * (reps - 1) / 4) in
+      record ~target:"units" ~name ~jobs:1 (q 2);
+      let show x =
+        if x < 1e-6 then Printf.sprintf "%.1f ns" (x *. 1e9)
+        else if x < 1e-3 then Printf.sprintf "%.2f us" (x *. 1e6)
+        else Printf.sprintf "%.2f ms" (x *. 1e3)
+      in
+      pf "%-16s %12s %12s %12s %14.0f\n" name (show (q 2)) (show (q 1)) (show (q 3)) words)
+    [
+      ("fe-add", 200_000, fun () -> Obj.repr (Fe.add a b));
+      ("fe-mul", 200_000, fun () -> Obj.repr (Fe.mul a b));
+      ("fe-square", 200_000, fun () -> Obj.repr (Fe.square a));
+      ("fe-invert", 2_000, fun () -> Obj.repr (Fe.invert a));
+      ("point-add", 20_000, fun () -> Obj.repr (Point.add p q));
+      ("point-double", 20_000, fun () -> Obj.repr (Point.double p));
+      ("point-madd", 20_000, fun () -> Obj.repr (Point.madd p nq));
+      ("point-mul", 100, fun () -> Obj.repr (Point.mul s p));
+      ("double-mul", 100, fun () -> Obj.repr (Point.double_mul s p t q));
+      ("table-mul", 400, fun () -> Obj.repr (Point.Table.mul tbl s));
+      ("msm-1025", 2, fun () -> Obj.repr (Msm.msm pairs));
+    ];
   Parallel.set_default_jobs saved_jobs
 
 (* ------------------------------------------------------------------ *)
@@ -1361,7 +1423,7 @@ let run_churn () =
 (* Main                                                                *)
 
 let all_targets =
-  [ "table1"; "table2"; "fig5"; "fig6"; "fig7"; "fig8"; "micro"; "ablate"; "verify"; "group"; "faults"; "phases"; "recovery"; "serve"; "stream"; "topology"; "churn" ]
+  [ "table1"; "table2"; "fig5"; "fig6"; "fig7"; "fig8"; "micro"; "units"; "ablate"; "verify"; "group"; "faults"; "phases"; "recovery"; "serve"; "stream"; "topology"; "churn" ]
 
 let rec run_target = function
   | "table1" -> run_table1 ()
@@ -1372,6 +1434,7 @@ let rec run_target = function
   | "fig7" -> run_fig7 ()
   | "fig8" -> run_fig8 ()
   | "micro" -> run_micro ()
+  | "units" -> run_units ()
   | "ablate" -> run_ablate ()
   | "verify" -> run_verify ()
   | "group" -> run_group ()

@@ -18,159 +18,207 @@ let one =
   a.(0) <- 1;
   a
 
-let add f g = Array.init 10 (fun i -> f.(i) + g.(i))
-let sub f g = Array.init 10 (fun i -> f.(i) - g.(i))
-let neg f = Array.init 10 (fun i -> -f.(i))
+(* The kernels below read limbs into locals with unchecked loads (every
+   array is exactly ten limbs), so a field operation is straight-line
+   integer code: the pure functions allocate only their result and the
+   [*_into] variants allocate nothing. *)
+
+let[@inline] get (a : t) i = Array.unsafe_get a i
+let[@inline] set (a : t) i v = Array.unsafe_set a i v
+
+(* Ten non-constant elements: a literal of constants would compile to a
+   C-side block copy, a non-constant one to an inline minor allocation. *)
+let[@inline] make10 h0 h1 h2 h3 h4 h5 h6 h7 h8 h9 : t = [| h0; h1; h2; h3; h4; h5; h6; h7; h8; h9 |]
+
+let create () =
+  let z = Sys.opaque_identity 0 in
+  make10 z z z z z z z z z z
+
+let copy f =
+  make10 (get f 0) (get f 1) (get f 2) (get f 3) (get f 4) (get f 5) (get f 6) (get f 7) (get f 8)
+    (get f 9)
+
+let copy_into h f =
+  for i = 0 to 9 do
+    set h i (get f i)
+  done
+
+let to_limbs f = Array.copy f
+
+let of_limbs a =
+  if Array.length a <> 10 then invalid_arg "Fe.of_limbs: need 10 limbs";
+  Array.copy a
+
+let add f g =
+  make10
+    (get f 0 + get g 0) (get f 1 + get g 1) (get f 2 + get g 2) (get f 3 + get g 3)
+    (get f 4 + get g 4) (get f 5 + get g 5) (get f 6 + get g 6) (get f 7 + get g 7)
+    (get f 8 + get g 8) (get f 9 + get g 9)
+
+let sub f g =
+  make10
+    (get f 0 - get g 0) (get f 1 - get g 1) (get f 2 - get g 2) (get f 3 - get g 3)
+    (get f 4 - get g 4) (get f 5 - get g 5) (get f 6 - get g 6) (get f 7 - get g 7)
+    (get f 8 - get g 8) (get f 9 - get g 9)
+
+let neg f =
+  make10
+    (-get f 0) (-get f 1) (-get f 2) (-get f 3) (-get f 4) (-get f 5) (-get f 6) (-get f 7)
+    (-get f 8) (-get f 9)
+
+(* Limb i of the output depends only on limb i of the inputs, so writing
+   it in place is safe when [h] is also an input. *)
+let add_into h f g =
+  for i = 0 to 9 do
+    set h i (get f i + get g i)
+  done
+
+let sub_into h f g =
+  for i = 0 to 9 do
+    set h i (get f i - get g i)
+  done
+
+let neg_into h f =
+  for i = 0 to 9 do
+    set h i (-get f i)
+  done
 
 (* ref10 carry chain: brings limbs back to canonical 26/25-bit magnitude.
-   Mutates [h] in place; shifts are arithmetic so the chain works on
-   signed limbs. *)
+   Runs on ten local limbs and stores the result in [h]; shifts are
+   arithmetic so the chain works on signed limbs. *)
+let[@inline] carry_store h h0 h1 h2 h3 h4 h5 h6 h7 h8 h9 =
+  let c = (h0 + (1 lsl 25)) asr 26 in
+  let h1 = h1 + c and h0 = h0 - (c lsl 26) in
+  let c = (h4 + (1 lsl 25)) asr 26 in
+  let h5 = h5 + c and h4 = h4 - (c lsl 26) in
+  let c = (h1 + (1 lsl 24)) asr 25 in
+  let h2 = h2 + c and h1 = h1 - (c lsl 25) in
+  let c = (h5 + (1 lsl 24)) asr 25 in
+  let h6 = h6 + c and h5 = h5 - (c lsl 25) in
+  let c = (h2 + (1 lsl 25)) asr 26 in
+  let h3 = h3 + c and h2 = h2 - (c lsl 26) in
+  let c = (h6 + (1 lsl 25)) asr 26 in
+  let h7 = h7 + c and h6 = h6 - (c lsl 26) in
+  let c = (h3 + (1 lsl 24)) asr 25 in
+  let h4 = h4 + c and h3 = h3 - (c lsl 25) in
+  let c = (h7 + (1 lsl 24)) asr 25 in
+  let h8 = h8 + c and h7 = h7 - (c lsl 25) in
+  let c = (h4 + (1 lsl 25)) asr 26 in
+  let h5 = h5 + c and h4 = h4 - (c lsl 26) in
+  let c = (h8 + (1 lsl 25)) asr 26 in
+  let h9 = h9 + c and h8 = h8 - (c lsl 26) in
+  let c = (h9 + (1 lsl 24)) asr 25 in
+  let h0 = h0 + (c * 19) and h9 = h9 - (c lsl 25) in
+  let c = (h0 + (1 lsl 25)) asr 26 in
+  let h1 = h1 + c and h0 = h0 - (c lsl 26) in
+  set h 0 h0;
+  set h 1 h1;
+  set h 2 h2;
+  set h 3 h3;
+  set h 4 h4;
+  set h 5 h5;
+  set h 6 h6;
+  set h 7 h7;
+  set h 8 h8;
+  set h 9 h9
+
 let carry h =
-  let c = ref 0 in
-  c := (h.(0) + (1 lsl 25)) asr 26;
-  h.(1) <- h.(1) + !c;
-  h.(0) <- h.(0) - (!c lsl 26);
-  c := (h.(4) + (1 lsl 25)) asr 26;
-  h.(5) <- h.(5) + !c;
-  h.(4) <- h.(4) - (!c lsl 26);
-  c := (h.(1) + (1 lsl 24)) asr 25;
-  h.(2) <- h.(2) + !c;
-  h.(1) <- h.(1) - (!c lsl 25);
-  c := (h.(5) + (1 lsl 24)) asr 25;
-  h.(6) <- h.(6) + !c;
-  h.(5) <- h.(5) - (!c lsl 25);
-  c := (h.(2) + (1 lsl 25)) asr 26;
-  h.(3) <- h.(3) + !c;
-  h.(2) <- h.(2) - (!c lsl 26);
-  c := (h.(6) + (1 lsl 25)) asr 26;
-  h.(7) <- h.(7) + !c;
-  h.(6) <- h.(6) - (!c lsl 26);
-  c := (h.(3) + (1 lsl 24)) asr 25;
-  h.(4) <- h.(4) + !c;
-  h.(3) <- h.(3) - (!c lsl 25);
-  c := (h.(7) + (1 lsl 24)) asr 25;
-  h.(8) <- h.(8) + !c;
-  h.(7) <- h.(7) - (!c lsl 25);
-  c := (h.(4) + (1 lsl 25)) asr 26;
-  h.(5) <- h.(5) + !c;
-  h.(4) <- h.(4) - (!c lsl 26);
-  c := (h.(8) + (1 lsl 25)) asr 26;
-  h.(9) <- h.(9) + !c;
-  h.(8) <- h.(8) - (!c lsl 26);
-  c := (h.(9) + (1 lsl 24)) asr 25;
-  h.(0) <- h.(0) + (!c * 19);
-  h.(9) <- h.(9) - (!c lsl 25);
-  c := (h.(0) + (1 lsl 25)) asr 26;
-  h.(1) <- h.(1) + !c;
-  h.(0) <- h.(0) - (!c lsl 26);
+  carry_store h (get h 0) (get h 1) (get h 2) (get h 3) (get h 4) (get h 5) (get h 6) (get h 7)
+    (get h 8) (get h 9);
   h
 
-let mul_ml f g =
-  let f0 = f.(0) and f1 = f.(1) and f2 = f.(2) and f3 = f.(3) and f4 = f.(4) in
-  let f5 = f.(5) and f6 = f.(6) and f7 = f.(7) and f8 = f.(8) and f9 = f.(9) in
-  let g0 = g.(0) and g1 = g.(1) and g2 = g.(2) and g3 = g.(3) and g4 = g.(4) in
-  let g5 = g.(5) and g6 = g.(6) and g7 = g.(7) and g8 = g.(8) and g9 = g.(9) in
+(* All inputs are read before [h] is written, so [h] may alias [f] or [g]. *)
+let mul_into h f g =
+  let f0 = get f 0 and f1 = get f 1 and f2 = get f 2 and f3 = get f 3 and f4 = get f 4 in
+  let f5 = get f 5 and f6 = get f 6 and f7 = get f 7 and f8 = get f 8 and f9 = get f 9 in
+  let g0 = get g 0 and g1 = get g 1 and g2 = get g 2 and g3 = get g 3 and g4 = get g 4 in
+  let g5 = get g 5 and g6 = get g 6 and g7 = get g 7 and g8 = get g 8 and g9 = get g 9 in
   let g1_19 = 19 * g1 and g2_19 = 19 * g2 and g3_19 = 19 * g3 and g4_19 = 19 * g4 in
   let g5_19 = 19 * g5 and g6_19 = 19 * g6 and g7_19 = 19 * g7 and g8_19 = 19 * g8 in
   let g9_19 = 19 * g9 in
   let f1_2 = 2 * f1 and f3_2 = 2 * f3 and f5_2 = 2 * f5 and f7_2 = 2 * f7 and f9_2 = 2 * f9 in
-  let h = Array.make 10 0 in
-  h.(0) <-
+  let h0 =
     (f0 * g0) + (f1_2 * g9_19) + (f2 * g8_19) + (f3_2 * g7_19) + (f4 * g6_19) + (f5_2 * g5_19)
-    + (f6 * g4_19) + (f7_2 * g3_19) + (f8 * g2_19) + (f9_2 * g1_19);
-  h.(1) <-
+    + (f6 * g4_19) + (f7_2 * g3_19) + (f8 * g2_19) + (f9_2 * g1_19)
+  in
+  let h1 =
     (f0 * g1) + (f1 * g0) + (f2 * g9_19) + (f3 * g8_19) + (f4 * g7_19) + (f5 * g6_19)
-    + (f6 * g5_19) + (f7 * g4_19) + (f8 * g3_19) + (f9 * g2_19);
-  h.(2) <-
+    + (f6 * g5_19) + (f7 * g4_19) + (f8 * g3_19) + (f9 * g2_19)
+  in
+  let h2 =
     (f0 * g2) + (f1_2 * g1) + (f2 * g0) + (f3_2 * g9_19) + (f4 * g8_19) + (f5_2 * g7_19)
-    + (f6 * g6_19) + (f7_2 * g5_19) + (f8 * g4_19) + (f9_2 * g3_19);
-  h.(3) <-
+    + (f6 * g6_19) + (f7_2 * g5_19) + (f8 * g4_19) + (f9_2 * g3_19)
+  in
+  let h3 =
     (f0 * g3) + (f1 * g2) + (f2 * g1) + (f3 * g0) + (f4 * g9_19) + (f5 * g8_19) + (f6 * g7_19)
-    + (f7 * g6_19) + (f8 * g5_19) + (f9 * g4_19);
-  h.(4) <-
+    + (f7 * g6_19) + (f8 * g5_19) + (f9 * g4_19)
+  in
+  let h4 =
     (f0 * g4) + (f1_2 * g3) + (f2 * g2) + (f3_2 * g1) + (f4 * g0) + (f5_2 * g9_19)
-    + (f6 * g8_19) + (f7_2 * g7_19) + (f8 * g6_19) + (f9_2 * g5_19);
-  h.(5) <-
+    + (f6 * g8_19) + (f7_2 * g7_19) + (f8 * g6_19) + (f9_2 * g5_19)
+  in
+  let h5 =
     (f0 * g5) + (f1 * g4) + (f2 * g3) + (f3 * g2) + (f4 * g1) + (f5 * g0) + (f6 * g9_19)
-    + (f7 * g8_19) + (f8 * g7_19) + (f9 * g6_19);
-  h.(6) <-
+    + (f7 * g8_19) + (f8 * g7_19) + (f9 * g6_19)
+  in
+  let h6 =
     (f0 * g6) + (f1_2 * g5) + (f2 * g4) + (f3_2 * g3) + (f4 * g2) + (f5_2 * g1) + (f6 * g0)
-    + (f7_2 * g9_19) + (f8 * g8_19) + (f9_2 * g7_19);
-  h.(7) <-
+    + (f7_2 * g9_19) + (f8 * g8_19) + (f9_2 * g7_19)
+  in
+  let h7 =
     (f0 * g7) + (f1 * g6) + (f2 * g5) + (f3 * g4) + (f4 * g3) + (f5 * g2) + (f6 * g1) + (f7 * g0)
-    + (f8 * g9_19) + (f9 * g8_19);
-  h.(8) <-
+    + (f8 * g9_19) + (f9 * g8_19)
+  in
+  let h8 =
     (f0 * g8) + (f1_2 * g7) + (f2 * g6) + (f3_2 * g5) + (f4 * g4) + (f5_2 * g3) + (f6 * g2)
-    + (f7_2 * g1) + (f8 * g0) + (f9_2 * g9_19);
-  h.(9) <-
+    + (f7_2 * g1) + (f8 * g0) + (f9_2 * g9_19)
+  in
+  let h9 =
     (f0 * g9) + (f1 * g8) + (f2 * g7) + (f3 * g6) + (f4 * g5) + (f5 * g4) + (f6 * g3) + (f7 * g2)
-    + (f8 * g1) + (f9 * g0);
-  carry h
+    + (f8 * g1) + (f9 * g0)
+  in
+  carry_store h h0 h1 h2 h3 h4 h5 h6 h7 h8 h9
 
 (* Dedicated squaring (ref10 fe_sq): ~30% cheaper than mul, and point
-   doubling — the bulk of every scalar multiplication — is four squares. *)
-let square_ml f =
-  let f0 = f.(0) and f1 = f.(1) and f2 = f.(2) and f3 = f.(3) and f4 = f.(4) in
-  let f5 = f.(5) and f6 = f.(6) and f7 = f.(7) and f8 = f.(8) and f9 = f.(9) in
+   doubling — the bulk of every scalar multiplication — is four squares.
+   [h] may alias [f]. *)
+let square_into h f =
+  let f0 = get f 0 and f1 = get f 1 and f2 = get f 2 and f3 = get f 3 and f4 = get f 4 in
+  let f5 = get f 5 and f6 = get f 6 and f7 = get f 7 and f8 = get f 8 and f9 = get f 9 in
   let f0_2 = 2 * f0 and f1_2 = 2 * f1 and f2_2 = 2 * f2 and f3_2 = 2 * f3 in
   let f4_2 = 2 * f4 and f5_2 = 2 * f5 and f6_2 = 2 * f6 and f7_2 = 2 * f7 in
   let f5_38 = 38 * f5 and f6_19 = 19 * f6 and f7_38 = 38 * f7 in
   let f8_19 = 19 * f8 and f9_38 = 38 * f9 in
-  let h = Array.make 10 0 in
-  h.(0) <- (f0 * f0) + (f1_2 * f9_38) + (f2_2 * f8_19) + (f3_2 * f7_38) + (f4_2 * f6_19) + (f5 * f5_38);
-  h.(1) <- (f0_2 * f1) + (f2 * f9_38) + (f3_2 * f8_19) + (f4 * f7_38) + (f5_2 * f6_19);
-  h.(2) <- (f0_2 * f2) + (f1_2 * f1) + (f3_2 * f9_38) + (f4_2 * f8_19) + (f5_2 * f7_38) + (f6 * f6_19);
-  h.(3) <- (f0_2 * f3) + (f1_2 * f2) + (f4 * f9_38) + (f5_2 * f8_19) + (f6 * f7_38);
-  h.(4) <- (f0_2 * f4) + (f1_2 * f3_2) + (f2 * f2) + (f5_2 * f9_38) + (f6_2 * f8_19) + (f7 * f7_38);
-  h.(5) <- (f0_2 * f5) + (f1_2 * f4) + (f2_2 * f3) + (f6 * f9_38) + (f7_2 * f8_19);
-  h.(6) <- (f0_2 * f6) + (f1_2 * f5_2) + (f2_2 * f4) + (f3_2 * f3) + (f7_2 * f9_38) + (f8 * f8_19);
-  h.(7) <- (f0_2 * f7) + (f1_2 * f6) + (f2_2 * f5) + (f3_2 * f4) + (f8 * f9_38);
-  h.(8) <- (f0_2 * f8) + (f1_2 * f7_2) + (f2_2 * f6) + (f3_2 * f5_2) + (f4 * f4) + (f9 * f9_38);
-  h.(9) <- (f0_2 * f9) + (f1_2 * f8) + (f2_2 * f7) + (f3_2 * f6) + (f4_2 * f5);
-  carry h
+  let h0 = (f0 * f0) + (f1_2 * f9_38) + (f2_2 * f8_19) + (f3_2 * f7_38) + (f4_2 * f6_19) + (f5 * f5_38) in
+  let h1 = (f0_2 * f1) + (f2 * f9_38) + (f3_2 * f8_19) + (f4 * f7_38) + (f5_2 * f6_19) in
+  let h2 = (f0_2 * f2) + (f1_2 * f1) + (f3_2 * f9_38) + (f4_2 * f8_19) + (f5_2 * f7_38) + (f6 * f6_19) in
+  let h3 = (f0_2 * f3) + (f1_2 * f2) + (f4 * f9_38) + (f5_2 * f8_19) + (f6 * f7_38) in
+  let h4 = (f0_2 * f4) + (f1_2 * f3_2) + (f2 * f2) + (f5_2 * f9_38) + (f6_2 * f8_19) + (f7 * f7_38) in
+  let h5 = (f0_2 * f5) + (f1_2 * f4) + (f2_2 * f3) + (f6 * f9_38) + (f7_2 * f8_19) in
+  let h6 = (f0_2 * f6) + (f1_2 * f5_2) + (f2_2 * f4) + (f3_2 * f3) + (f7_2 * f9_38) + (f8 * f8_19) in
+  let h7 = (f0_2 * f7) + (f1_2 * f6) + (f2_2 * f5) + (f3_2 * f4) + (f8 * f9_38) in
+  let h8 = (f0_2 * f8) + (f1_2 * f7_2) + (f2_2 * f6) + (f3_2 * f5_2) + (f4 * f4) + (f9 * f9_38) in
+  let h9 = (f0_2 * f9) + (f1_2 * f8) + (f2_2 * f7) + (f3_2 * f6) + (f4_2 * f5) in
+  carry_store h h0 h1 h2 h3 h4 h5 h6 h7 h8 h9
 
-(* --- optional C backend for the two hot kernels ---
-
-   fe_stubs.c replicates mul/square + carry with int64, so the carried
-   limb arrays are bit-identical to the OCaml path (differentially tested
-   in test_group_fast).  Off by default; enabled by the RISEFL_FE_STUB
-   environment variable or programmatically via [Backend.set_stub].  The
-   dispatch is one ref load per call. *)
-
-external stub_mul : t -> t -> t -> unit = "risefl_fe_mul" [@@noalloc]
-external stub_sq : t -> t -> unit = "risefl_fe_sq" [@@noalloc]
-
-let stub_on =
-  ref
-    (match Sys.getenv_opt "RISEFL_FE_STUB" with
-    | Some ("1" | "true" | "yes" | "on") -> true
-    | _ -> false)
-
-module Backend = struct
-  let stub_available = true
-  let set_stub b = stub_on := b
-  let using_stub () = !stub_on
-end
+let mul_small_into h f c =
+  carry_store h (get f 0 * c) (get f 1 * c) (get f 2 * c) (get f 3 * c) (get f 4 * c)
+    (get f 5 * c) (get f 6 * c) (get f 7 * c) (get f 8 * c) (get f 9 * c)
 
 let mul f g =
-  if !stub_on then begin
-    let h = Array.make 10 0 in
-    stub_mul h f g;
-    h
-  end
-  else mul_ml f g
+  let h = create () in
+  mul_into h f g;
+  h
 
 let square f =
-  if !stub_on then begin
-    let h = Array.make 10 0 in
-    stub_sq h f;
-    h
-  end
-  else square_ml f
+  let h = create () in
+  square_into h f;
+  h
 
 let mul_small f c =
-  let h = Array.map (fun x -> x * c) f in
-  carry h
+  let h = create () in
+  mul_small_into h f c;
+  h
 
 (* Canonical reduction and little-endian packing (ref10 fe_tobytes). *)
 let to_bytes f =
@@ -241,15 +289,16 @@ let pow_bigint f e =
   let nbits = Bigint.bit_length e in
   if nbits = 0 then one
   else begin
-    let acc = ref f in
+    let acc = copy f in
     for i = nbits - 2 downto 0 do
-      acc := square !acc;
-      if Bigint.testbit e i then acc := mul !acc f
+      square_into acc acc;
+      if Bigint.testbit e i then mul_into acc acc f
     done;
-    !acc
+    acc
   end
 
-let invert f = pow_bigint f Bigint.(sub p two)
+let p_minus_2 = Bigint.(sub p two)
+let invert f = pow_bigint f p_minus_2
 
 let c_invb_calls = Telemetry.Counter.make "fe.invert_batch.calls"
 let c_invb_elems = Telemetry.Counter.make "fe.invert_batch.elems"
@@ -277,7 +326,8 @@ let invert_batch xs =
     done;
     out
   end
-let pow_p58 f = pow_bigint f Bigint.(shift_right (sub p (of_int 5)) 3)
+let p58 = Bigint.(shift_right (sub p (of_int 5)) 3)
+let pow_p58 f = pow_bigint f p58
 
 let sqrt_m1 =
   (* 2^((p-1)/4) is a square root of -1 mod p *)

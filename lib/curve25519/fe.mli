@@ -2,8 +2,20 @@
 
     Representation follows the classic "ref10" layout: ten limbs holding
     alternately 26 and 25 bits, kept as signed native ints, so every
-    product and limb-sum stays far below the 63-bit native range. Values
-    are immutable by convention (operations return fresh arrays).
+    product and limb-sum stays far below the 63-bit native range.
+
+    Two calling styles share one set of kernels. The pure functions
+    ({!add}, {!mul}, ...) return a fresh value and never mutate their
+    arguments; treat every value they return, and the constants below, as
+    immutable. The destination-passing [*_into] variants write their
+    result into their first argument and allocate nothing. The
+    destination must be a value the caller owns, obtained from {!create}
+    or {!copy} and shared with no one else. It may be the same value as
+    any input: every [*_into] function reads all the input limbs it needs
+    before it writes the limbs that depend on them. Inputs to {!mul},
+    {!square} and their [_into] forms must stay within the ref10 bounds:
+    at most a sum or difference of three carried values (the widest the
+    point formulas produce).
 
     Correctness is cross-checked by qcheck against a {!Bigint} reference
     implementation in the test suite. *)
@@ -24,6 +36,34 @@ val square : t -> t
 
 (** [mul_small x c] multiplies by a small constant [0 <= c < 2^30]. *)
 val mul_small : t -> int -> t
+
+(** {2 Destination-passing variants}
+
+    [op_into h x y] stores [op x y] in [h], with limbs identical to the
+    pure function's result. *)
+
+(** [create ()] is a fresh, caller-owned zero to use as a destination. *)
+val create : unit -> t
+
+(** [copy x] is a fresh, caller-owned value with the limbs of [x]. *)
+val copy : t -> t
+
+(** [copy_into h x] overwrites [h] with the limbs of [x]. *)
+val copy_into : t -> t -> unit
+
+val add_into : t -> t -> t -> unit
+val sub_into : t -> t -> t -> unit
+val neg_into : t -> t -> unit
+val mul_into : t -> t -> t -> unit
+val square_into : t -> t -> unit
+val mul_small_into : t -> t -> int -> unit
+
+(** The ten ref10 limbs (a fresh array), and a value from ten limbs —
+    for differential tests against reference kernels. *)
+val to_limbs : t -> int array
+
+(** Raises [Invalid_argument] unless given exactly ten limbs. *)
+val of_limbs : int array -> t
 
 (** [invert x] is [x^(p-2)] — the multiplicative inverse (0 maps to 0). *)
 val invert : t -> t
@@ -72,23 +112,3 @@ val edwards_d : t
 val edwards_d2 : t
 
 val pp : Format.formatter -> t -> unit
-
-(** Runtime selection of the multiply/square kernel.
-
-    The default is the pure-OCaml ref10 port. When the stub is enabled
-    ({!Backend.set_stub} or the [RISEFL_FE_STUB=1] environment variable,
-    read once at startup), {!mul} and {!square} route through a C stub
-    that replicates the same schoolbook product and carry chain with
-    [int64], producing bit-identical limb arrays — so proofs, verdicts
-    and C* are unchanged whichever kernel is active. *)
-module Backend : sig
-  (** [true] in this build (the stub is compiled in unconditionally;
-      the flag exists so callers can feature-test). *)
-  val stub_available : bool
-
-  (** Route {!mul}/{!square} through the C stub ([true]) or the pure
-      OCaml kernels ([false]). Takes effect immediately, process-wide. *)
-  val set_stub : bool -> unit
-
-  val using_stub : unit -> bool
-end

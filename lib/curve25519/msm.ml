@@ -27,34 +27,43 @@ let window_bits n =
    in mixed-affine Niels form, so every bucket addition is a 7-mul madd
    instead of a 9-mul extended addition.  The conversion happens once per
    MSM evaluation (one Montgomery inversion over all input points) before
-   the chunks fan out — see [run]. *)
+   the chunks fan out — see [run].  The buckets, the two suffix sums and
+   the window accumulator are in-place accumulators owned by this chunk,
+   so the loops allocate nothing; only the final sum is copied out. *)
 let run_range ~c ~nwindows ~lo ~hi ~digits ~nls =
   let nbuckets = (1 lsl c) - 1 in
-  let buckets = Array.make (nbuckets + 1) Point.identity in
-  let acc = ref Point.identity in
+  let sc = Point.Mut.scratch () in
+  let buckets = Array.init (nbuckets + 1) (fun _ -> Point.Mut.identity ()) in
+  let running = Point.Mut.identity () and total = Point.Mut.identity () in
+  let acc = Point.Mut.identity () in
   for w = nwindows - 1 downto 0 do
-    if w < nwindows - 1 then for _ = 1 to c do acc := Point.double !acc done;
-    Array.fill buckets 0 (nbuckets + 1) Point.identity;
+    (* only the last doubling of the chain computes T, which the window
+       addition below reads *)
+    if w < nwindows - 1 then
+      for k = 1 to c do
+        Point.Mut.double sc acc ~with_t:(k = c)
+      done;
+    Array.iter Point.Mut.set_identity buckets;
     let used = ref false in
     for i = lo to hi - 1 do
       let d = digits.(i).(w) in
       if d <> 0 then begin
-        buckets.(d) <- Point.madd buckets.(d) nls.(i);
+        Point.Mut.madd sc buckets.(d) nls.(i);
         used := true
       end
     done;
     if !used then begin
       (* sum_{d} d * bucket_d via suffix sums *)
-      let running = ref Point.identity in
-      let total = ref Point.identity in
+      Point.Mut.set_identity running;
+      Point.Mut.set_identity total;
       for d = nbuckets downto 1 do
-        running := Point.add !running buckets.(d);
-        total := Point.add !total !running
+        Point.Mut.add sc running buckets.(d);
+        Point.Mut.add sc total running
       done;
-      acc := Point.add !acc !total
+      Point.Mut.add sc acc total
     end
   done;
-  !acc
+  Point.Mut.freeze acc
 
 (* Sequential cutoff: each chunk pays fixed costs that are independent of
    its point count — a full doubling chain across every window plus a
@@ -107,6 +116,9 @@ let msm ?jobs pairs =
 
 let msm_small ?jobs pairs =
   let n = Array.length pairs in
+  (* abs min_int is negative: its digits would all read as zero *)
+  if Array.exists (fun (e, _) -> e = min_int) pairs then
+    invalid_arg "Msm.msm_small: exponent out of range";
   if n = 0 then Point.identity
   else begin
     let c = chunk_window ?jobs n in

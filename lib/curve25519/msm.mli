@@ -17,7 +17,9 @@ val msm : ?jobs:int -> (Scalar.t * Point.t) array -> Point.t
 
 (** [msm_small ?jobs pairs] for native-int exponents of either sign (e.g.
     the discretized Gaussian coefficients a_tl, |a| < 2^30); faster than
-    {!msm} because the exponent bit-length is short. *)
+    {!msm} because the exponent bit-length is short. Raises
+    [Invalid_argument] if an exponent is [min_int], whose magnitude is
+    not a native int. *)
 val msm_small : ?jobs:int -> (int * Point.t) array -> Point.t
 
 (** [window_bits n] — the window size heuristic used internally (exposed

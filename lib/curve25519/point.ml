@@ -9,40 +9,143 @@ let c_add = Telemetry.Counter.make "point.add"
 let c_double = Telemetry.Counter.make "point.double"
 let c_scalarmul = Telemetry.Counter.make "point.scalarmul"
 
-let add p q =
+(* --- in-place kernels ---
+
+   Every operation below runs on the Fe [*_into] kernels.  The allocating
+   API wraps them; scalar multiplication and Pippenger keep one mutable
+   accumulator per call (or per MSM chunk) plus a [scratch] of four
+   temporaries, so their inner loops allocate nothing.  An accumulator is
+   an ordinary [t] whose four arrays the call owns; nothing here ever
+   writes into a point it did not create.  Each kernel bumps exactly the
+   counters of the operation it implements. *)
+
+type scratch = { s0 : Fe.t; s1 : Fe.t; s2 : Fe.t; s3 : Fe.t }
+
+let scratch () = { s0 = Fe.create (); s1 = Fe.create (); s2 = Fe.create (); s3 = Fe.create () }
+
+(* owned coordinates, to be overwritten by a kernel *)
+let fresh () = { x = Fe.create (); y = Fe.create (); z = Fe.create (); t = Fe.create () }
+
+let fresh_identity () =
+  { x = Fe.create (); y = Fe.copy Fe.one; z = Fe.copy Fe.one; t = Fe.create () }
+
+let fresh_copy p = { x = Fe.copy p.x; y = Fe.copy p.y; z = Fe.copy p.z; t = Fe.copy p.t }
+
+let set_identity r =
+  Fe.copy_into r.x Fe.zero;
+  Fe.copy_into r.y Fe.one;
+  Fe.copy_into r.z Fe.one;
+  Fe.copy_into r.t Fe.zero
+
+(* Shared tail of every addition formula.  On entry s0..s3 hold A, B, C,
+   D; it forms E = B - A, F = D - C, G = D + C, H = B + A and writes
+   (EF, GH, FG, EH) to [r].  [negc] swaps F and G, which turns "+ Q" into
+   "- Q" when C was computed for Q.  With [with_t] false, r.t is left
+   stale: valid only when the next operation on [r] is a doubling, which
+   never reads T (ref10's p1p1 -> p2 conversion).  Every read of the
+   input point happens before the caller gets here, so [r] may be that
+   point. *)
+let finish sc r ~negc ~with_t =
+  let e = sc.s0 and g = sc.s1 and f = sc.s3 and h = r.y in
+  Fe.add_into h sc.s1 sc.s0;
+  Fe.sub_into e sc.s1 sc.s0;
+  if negc then begin
+    Fe.sub_into g sc.s3 sc.s2;
+    Fe.add_into f sc.s3 sc.s2
+  end
+  else begin
+    Fe.add_into g sc.s3 sc.s2;
+    Fe.sub_into f sc.s3 sc.s2
+  end;
+  Fe.mul_into r.x e f;
+  Fe.mul_into r.z f g;
+  if with_t then Fe.mul_into r.t e h;
+  Fe.mul_into r.y g h
+
+(* r <- p + q, both extended: 9 multiplies, limbs identical to the RFC
+   8032 formula evaluated term by term.  [r] may be [p]. *)
+let add_into sc r p q ~with_t =
   Telemetry.Counter.incr c_add;
-  let a = Fe.mul (Fe.sub p.y p.x) (Fe.sub q.y q.x) in
-  let b = Fe.mul (Fe.add p.y p.x) (Fe.add q.y q.x) in
-  let c = Fe.mul (Fe.mul p.t Fe.edwards_d2) q.t in
-  let d = Fe.mul (Fe.add p.z p.z) q.z in
-  let e = Fe.sub b a in
-  let f = Fe.sub d c in
-  let g = Fe.add d c in
-  let h = Fe.add b a in
-  { x = Fe.mul e f; y = Fe.mul g h; z = Fe.mul f g; t = Fe.mul e h }
+  let a = sc.s0 and b = sc.s1 and c = sc.s2 and d = sc.s3 in
+  Fe.sub_into a p.y p.x;
+  Fe.sub_into b q.y q.x;
+  Fe.mul_into a a b;
+  Fe.add_into b p.y p.x;
+  Fe.add_into c q.y q.x;
+  Fe.mul_into b b c;
+  Fe.mul_into c p.t Fe.edwards_d2;
+  Fe.mul_into c c q.t;
+  Fe.add_into d p.z p.z;
+  Fe.mul_into d d q.z;
+  finish sc r ~negc:false ~with_t
+
+(* r <- 2p.  Reads X, Y, Z only, so p.t may be stale.  [r] may be [p]. *)
+let double_into sc r p ~with_t =
+  Telemetry.Counter.incr c_double;
+  let a = sc.s0 and b = sc.s1 and c = sc.s2 and h = sc.s3 and e = r.x in
+  Fe.square_into a p.x;
+  Fe.square_into b p.y;
+  Fe.square_into c p.z;
+  Fe.mul_small_into c c 2;
+  Fe.add_into h a b;
+  Fe.add_into e p.x p.y;
+  Fe.square_into e e;
+  Fe.sub_into e h e;
+  let g = a and f = c in
+  Fe.sub_into g a b;
+  Fe.add_into f c g;
+  if with_t then Fe.mul_into r.t e h;
+  Fe.mul_into r.y g h;
+  Fe.mul_into r.z f g;
+  Fe.mul_into r.x e f
+
+let add p q =
+  let r = fresh () in
+  add_into (scratch ()) r p q ~with_t:true;
+  r
 
 let double p =
-  Telemetry.Counter.incr c_double;
-  let a = Fe.square p.x in
-  let b = Fe.square p.y in
-  let c = Fe.mul_small (Fe.square p.z) 2 in
-  let h = Fe.add a b in
-  let e = Fe.sub h (Fe.square (Fe.add p.x p.y)) in
-  let g = Fe.sub a b in
-  let f = Fe.add c g in
-  { x = Fe.mul e f; y = Fe.mul g h; z = Fe.mul f g; t = Fe.mul e h }
+  let r = fresh () in
+  double_into (scratch ()) r p ~with_t:true;
+  r
 
 let neg p = { p with x = Fe.neg p.x; t = Fe.neg p.t }
 let sub p q = add p (neg q)
+
+(* --- projective cached form ---
+
+   (Y+X, Y-X, 2Z, 2d*T) of an extended point: the parts of the addition
+   formula that depend on the added point alone.  Adding a cached point
+   costs 8 multiplies instead of 9, and subtracting it is the same
+   formula with the sums swapped and C negated (via [finish]'s [negc]),
+   so no negated point is ever built.  The odd-multiple tables of [mul]
+   and [double_mul] are held in this form. *)
+
+type cached = { ypx : Fe.t; ymx : Fe.t; z2 : Fe.t; t2d : Fe.t }
+
+let to_cached p =
+  { ypx = Fe.add p.y p.x; ymx = Fe.sub p.y p.x; z2 = Fe.add p.z p.z; t2d = Fe.mul p.t Fe.edwards_d2 }
+
+(* r <- p + q ([neg] false) or p - q ([neg] true).  [r] may be [p]. *)
+let add_cached_into sc r p q ~neg ~with_t =
+  Telemetry.Counter.incr c_add;
+  let a = sc.s0 and b = sc.s1 and c = sc.s2 and d = sc.s3 in
+  Fe.sub_into a p.y p.x;
+  Fe.mul_into a a (if neg then q.ypx else q.ymx);
+  Fe.add_into b p.y p.x;
+  Fe.mul_into b b (if neg then q.ymx else q.ypx);
+  Fe.mul_into c p.t q.t2d;
+  Fe.mul_into d p.z q.z2;
+  finish sc r ~negc:neg ~with_t
 
 (* --- mixed-affine ("Niels") form ---
 
    A point with z = 1 stored as (y+x, y−x, 2d·t).  Adding such a point to
    an extended point costs 7 field muls instead of 9 (the z-product and
-   the d2 scaling are pre-absorbed), which is where the batched-affine
-   Pippenger win comes from: all MSM inputs and all fixed-base table
-   entries are flushed to this form through one Montgomery inversion
-   pass, and every bucket/table addition thereafter is a cheap madd. *)
+   the d2 scaling are pre-absorbed).  All MSM inputs and all fixed-base
+   table entries are flushed to this form through one Montgomery
+   inversion pass, and every table addition and MSM bucket insertion
+   thereafter is a madd. *)
 
 type niels = { yplusx : Fe.t; yminusx : Fe.t; td2 : Fe.t }
 
@@ -50,24 +153,31 @@ let c_madd = Telemetry.Counter.make "point.madd"
 let c_niels_batches = Telemetry.Counter.make "point.niels.batches"
 let c_niels_points = Telemetry.Counter.make "point.niels.points"
 
-(* madd: same complete a=-1 formulas as [add] specialized to q.z = 1,
-   with q's (y±x) and 2d·t precomputed — bit-for-bit the same group
-   element as [add p q]. Counted under point.add (it is one) and
-   point.madd (for the fast-path breakdown). *)
-let madd p n =
+(* madd: the complete a=-1 formulas specialized to q.z = 1, with q's
+   (y±x) and 2d·t precomputed — the same group element as [add p q].  [neg] subtracts
+   instead (sums swapped, C negated).  Counted under point.add (it is
+   one) and point.madd (for the fast-path breakdown).  [r] may be [p]. *)
+let madd_into sc r p n ~neg =
   Telemetry.Counter.incr c_add;
   Telemetry.Counter.incr c_madd;
-  let a = Fe.mul (Fe.sub p.y p.x) n.yminusx in
-  let b = Fe.mul (Fe.add p.y p.x) n.yplusx in
-  let c = Fe.mul p.t n.td2 in
-  let d = Fe.add p.z p.z in
-  let e = Fe.sub b a in
-  let f = Fe.sub d c in
-  let g = Fe.add d c in
-  let h = Fe.add b a in
-  { x = Fe.mul e f; y = Fe.mul g h; z = Fe.mul f g; t = Fe.mul e h }
+  let a = sc.s0 and b = sc.s1 and c = sc.s2 and d = sc.s3 in
+  Fe.sub_into a p.y p.x;
+  Fe.mul_into a a (if neg then n.yplusx else n.yminusx);
+  Fe.add_into b p.y p.x;
+  Fe.mul_into b b (if neg then n.yminusx else n.yplusx);
+  Fe.mul_into c p.t n.td2;
+  Fe.add_into d p.z p.z;
+  finish sc r ~negc:neg ~with_t:true
 
-let msub p n = madd p { yplusx = n.yminusx; yminusx = n.yplusx; td2 = Fe.neg n.td2 }
+let madd p n =
+  let r = fresh () in
+  madd_into (scratch ()) r p n ~neg:false;
+  r
+
+let msub p n =
+  let r = fresh () in
+  madd_into (scratch ()) r p n ~neg:true;
+  r
 
 let to_niels_batch ps =
   Telemetry.Counter.incr c_niels_batches;
@@ -156,37 +266,37 @@ let decompress_unchecked b =
    the old 4-bit unsigned windows with half the table build.  Everything
    is vartime; this is a research prototype, not a signing library. *)
 
-let mul_digits digits table_p =
-  (* digits little-endian; process from the top *)
-  let acc = ref identity in
-  for i = Array.length digits - 1 downto 0 do
-    if i < Array.length digits - 1 then begin
-      acc := double !acc;
-      acc := double !acc;
-      acc := double !acc;
-      acc := double !acc
-    end;
-    let d = digits.(i) in
-    if d <> 0 then acc := add !acc table_p.(d)
-  done;
-  !acc
+(* The loops below keep one accumulator and one scratch per call.  A
+   doubling computes T only when the next operation reads it (an
+   addition, or the end of the call), and so does an addition: X, Y and Z
+   are the same limbs either way, and the counters see the same
+   operations. *)
 
-let small_table p =
+(* [| P; 2P; ...; 15P |] at index 1..15 (index 0 unused), extended *)
+let small_table sc p =
   let tbl = Array.make 16 identity in
   tbl.(1) <- p;
+  let pc = to_cached p in
   for i = 2 to 15 do
-    tbl.(i) <- add tbl.(i - 1) p
+    let r = fresh () in
+    add_cached_into sc r tbl.(i - 1) pc ~neg:false ~with_t:true;
+    tbl.(i) <- r
   done;
   tbl
 
-(* odd multiples [| P; 3P; 5P; ...; 15P |]: digit d indexes (|d|-1)/2 *)
-let odd_multiples p =
-  let tbl = Array.make 8 p in
-  let p2 = double p in
+(* odd multiples [| P; 3P; 5P; ...; 15P |] (digit d indexes (|d|-1)/2),
+   extended and cached *)
+let odd_multiples sc p =
+  let ext = Array.make 8 p in
+  let p2 = fresh () in
+  double_into sc p2 p ~with_t:true;
+  let p2c = to_cached p2 in
   for i = 1 to 7 do
-    tbl.(i) <- add tbl.(i - 1) p2
+    let r = fresh () in
+    add_cached_into sc r ext.(i - 1) p2c ~neg:false ~with_t:true;
+    ext.(i) <- r
   done;
-  tbl
+  (ext, Array.map to_cached ext)
 
 let c_wnaf_width = Telemetry.Counter.make "point.wnaf.width"
 
@@ -200,16 +310,20 @@ let mul s p =
   done;
   if !top < 0 then identity
   else begin
-    let tbl = odd_multiples p in
+    let sc = scratch () in
+    let ext, tbl = odd_multiples sc p in
     let d0 = digits.(!top) in
-    let acc = ref (if d0 > 0 then tbl.((d0 - 1) / 2) else neg tbl.(((-d0) - 1) / 2)) in
+    let acc = fresh_copy ext.((abs d0 - 1) / 2) in
+    if d0 < 0 then begin
+      Fe.neg_into acc.x acc.x;
+      Fe.neg_into acc.t acc.t
+    end;
     for i = !top - 1 downto 0 do
-      acc := double !acc;
       let d = digits.(i) in
-      if d > 0 then acc := add !acc tbl.((d - 1) / 2)
-      else if d < 0 then acc := sub !acc tbl.(((-d) - 1) / 2)
+      double_into sc acc acc ~with_t:(d <> 0 || i = 0);
+      if d <> 0 then add_cached_into sc acc acc tbl.((abs d - 1) / 2) ~neg:(d < 0) ~with_t:(i = 0)
     done;
-    !acc
+    acc
   end
 
 let mul_small n p =
@@ -218,13 +332,27 @@ let mul_small n p =
   else begin
     let p = if n < 0 then neg p else p in
     let n = abs n in
-    let tbl = small_table p in
+    let sc = scratch () in
+    let tbl = small_table sc p in
     let nbits =
       let rec w acc v = if v = 0 then acc else w (acc + 1) (v lsr 1) in
       w 0 n
     in
-    let digits = Array.init ((nbits + 3) / 4) (fun i -> (n lsr (4 * i)) land 0xf) in
-    mul_digits digits tbl
+    (* unsigned base-16 digits, most significant first *)
+    let top = ((nbits + 3) / 4) - 1 in
+    let acc = fresh_identity () in
+    for i = top downto 0 do
+      let d = (n lsr (4 * i)) land 0xf in
+      let last = d <> 0 || i = 0 in
+      if i < top then begin
+        double_into sc acc acc ~with_t:false;
+        double_into sc acc acc ~with_t:false;
+        double_into sc acc acc ~with_t:false;
+        double_into sc acc acc ~with_t:last
+      end;
+      if d <> 0 then add_into sc acc acc tbl.(d) ~with_t:(i = 0)
+    done;
+    acc
   end
 
 (* --- fixed-base tables --- *)
@@ -291,32 +419,33 @@ module Table = struct
   let mul tbl s =
     Telemetry.Counter.incr c_scalarmul;
     let digits = signed_digits (Scalar.to_bigint s) in
-    let acc = ref identity in
+    let sc = scratch () and acc = fresh_identity () in
     for w = 0 to windows - 1 do
       let d = digits.(w) in
-      if d > 0 then acc := madd !acc tbl.win.(w).(d - 1)
-      else if d < 0 then acc := msub !acc tbl.win.(w).((-d) - 1)
+      if d <> 0 then madd_into sc acc acc tbl.win.(w).(abs d - 1) ~neg:(d < 0)
     done;
-    !acc
+    acc
 
   let mul_small tbl n =
     Telemetry.Counter.incr c_scalarmul;
     if n = 0 then identity
     else if n = min_int then invalid_arg "Table.mul_small: exponent out of range"
     else begin
-      let negp = n < 0 in
-      let acc = ref identity in
+      let sc = scratch () and acc = fresh_identity () in
       let w = ref 0 in
       let v = ref (abs n) in
       while !v <> 0 do
         let d0 = !v land 0xf in
         let d = if d0 >= 8 then d0 - 16 else d0 in
-        if d > 0 then acc := madd !acc tbl.win.(!w).(d - 1)
-        else if d < 0 then acc := msub !acc tbl.win.(!w).((-d) - 1);
+        if d <> 0 then madd_into sc acc acc tbl.win.(!w).(abs d - 1) ~neg:(d < 0);
         v := (!v - d) asr 4;
         incr w
       done;
-      if negp then neg !acc else !acc
+      if n < 0 then begin
+        Fe.neg_into acc.x acc.x;
+        Fe.neg_into acc.t acc.t
+      end;
+      acc
     end
 
   (* --- serialization (for the persistent table cache) ---
@@ -380,6 +509,21 @@ module Table = struct
     end
 end
 
+(* --- mutable accumulators for Msm --- *)
+
+module Mut = struct
+  type acc = t
+  type nonrec scratch = scratch
+
+  let scratch = scratch
+  let identity = fresh_identity
+  let set_identity = set_identity
+  let madd sc acc n = madd_into sc acc acc n ~neg:false
+  let add sc acc q = add_into sc acc acc q ~with_t:true
+  let double sc acc ~with_t = double_into sc acc acc ~with_t
+  let freeze = fresh_copy
+end
+
 (* --- base point --- *)
 
 let base =
@@ -407,22 +551,22 @@ let double_mul s p t q =
     Telemetry.Counter.add c_scalarmul 2;
     Telemetry.Counter.add c_wnaf_width (2 * Scalar.wnaf_window);
     let dss = Scalar.to_wnaf s and dts = Scalar.to_wnaf t in
-    let tp = odd_multiples p and tq = odd_multiples q in
+    let sc = scratch () in
+    let _, tp = odd_multiples sc p in
+    let _, tq = odd_multiples sc q in
     let top = ref 255 in
     while !top >= 0 && dss.(!top) = 0 && dts.(!top) = 0 do
       decr top
     done;
-    let acc = ref identity in
+    let acc = fresh_identity () in
     for i = !top downto 0 do
-      if i < !top then acc := double !acc;
-      let ds = dss.(i) in
-      if ds > 0 then acc := add !acc tp.((ds - 1) / 2)
-      else if ds < 0 then acc := sub !acc tp.(((-ds) - 1) / 2);
-      let dt = dts.(i) in
-      if dt > 0 then acc := add !acc tq.((dt - 1) / 2)
-      else if dt < 0 then acc := sub !acc tq.(((-dt) - 1) / 2)
+      let ds = dss.(i) and dt = dts.(i) in
+      if i < !top then double_into sc acc acc ~with_t:(ds <> 0 || dt <> 0 || i = 0);
+      if ds <> 0 then
+        add_cached_into sc acc acc tp.((abs ds - 1) / 2) ~neg:(ds < 0) ~with_t:(dt <> 0 || i = 0);
+      if dt <> 0 then add_cached_into sc acc acc tq.((abs dt - 1) / 2) ~neg:(dt < 0) ~with_t:(i = 0)
     done;
-    !acc
+    acc
   end
 
 (* subgroup check needs mul, so it comes last *)

@@ -29,18 +29,21 @@ val equal : t -> t -> bool
 val is_identity : t -> bool
 
 (** [mul s p] is the scalar multiple [s]·[p] (sliding-window wNAF:
-    signed odd digits against an 8-entry odd-multiples precompute). *)
+    signed odd digits against an 8-entry odd-multiples precompute held
+    in projective cached form, so each table addition costs 8 field
+    multiplications). *)
 val mul : Scalar.t -> t -> t
 
 (** {2 Mixed-affine (Niels) fast path}
 
     A point with z = 1 stored as (y+x, y−x, 2d·t): adding one to an
     extended point ({!madd}) costs 7 field multiplications instead of 9.
-    The MSM bucket loop and the fixed-base tables batch-convert their
-    inputs to this form through a single Montgomery inversion
-    ({!to_niels_batch}) and do all their additions as madds. The results
-    are the same group elements as the extended-coordinates path —
-    compressed encodings, proofs and verdicts are bit-identical. *)
+    The fixed-base tables and the MSM inputs are batch-converted to this
+    form through a single Montgomery inversion ({!to_niels_batch}); table
+    lookups and MSM bucket insertions are madds, while the MSM bucket
+    fold adds projective points with {!add}. The results are the same
+    group elements as the extended-coordinates path — compressed
+    encodings, proofs and verdicts are bit-identical. *)
 
 type niels
 
@@ -55,6 +58,44 @@ val msub : t -> niels -> t
 (** [to_niels_batch ps] — convert many points with one shared field
     inversion. Identity points convert fine (z is never 0). *)
 val to_niels_batch : t array -> niels array
+
+(** {2 In-place accumulators}
+
+    The Pippenger bucket loop ({!Msm}) keeps its buckets and running sums
+    as mutable accumulators instead of allocating a point per addition.
+    An accumulator belongs to one call or one MSM chunk; it is never
+    shared across domains. Each operation bumps the same counters as its
+    allocating counterpart. *)
+module Mut : sig
+  (** A mutable point, distinct from the immutable {!t}. *)
+  type acc
+
+  (** The temporaries an operation needs; one per accumulator owner. *)
+  type scratch
+
+  val scratch : unit -> scratch
+
+  (** A fresh accumulator holding the identity. *)
+  val identity : unit -> acc
+
+  val set_identity : acc -> unit
+
+  (** [madd sc acc n] — [acc <- acc + n], a {!madd}. *)
+  val madd : scratch -> acc -> niels -> unit
+
+  (** [add sc acc q] — [acc <- acc + q], a full {!add}; [q] must not be
+      [acc]. *)
+  val add : scratch -> acc -> acc -> unit
+
+  (** [double sc acc ~with_t] — [acc <- 2·acc], a {!double}. With
+      [with_t:false] the extended T coordinate is left stale, which is
+      valid only when the next operation on [acc] is another [double]
+      (doubling never reads T). *)
+  val double : scratch -> acc -> with_t:bool -> unit
+
+  (** An immutable copy of the accumulator's point. *)
+  val freeze : acc -> t
+end
 
 (** [mul_small n p] is [n]·[p] for a native-int scalar of either sign —
     much faster than {!mul} for short exponents (e.g. 16-bit gradient
