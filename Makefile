@@ -15,8 +15,9 @@ test: check
 bench:
 	dune exec bench/main.exe 2>&1 | tee bench_output.txt
 
-# Tiny-size smoke run of the parallel micro-benchmarks; asserts that the
-# machine-readable results file is actually emitted and non-trivial.
+# Tiny-size smoke run of the parallel micro-benchmarks and the group-layer
+# unit costs; asserts that the machine-readable results files are emitted
+# and carry the expected rows (timings are not gated).
 bench-smoke:
 	rm -f BENCH_RISEFL.json
 	dune exec bench/main.exe -- micro --smoke --jobs 2
@@ -24,6 +25,11 @@ bench-smoke:
 	@grep -q '"results"' BENCH_RISEFL.json || { echo "bench-smoke: no results array in BENCH_RISEFL.json" >&2; exit 1; }
 	@grep -q '"name": "msm-full"' BENCH_RISEFL.json || { echo "bench-smoke: expected msm-full records" >&2; exit 1; }
 	@echo "bench-smoke: BENCH_RISEFL.json OK ($$(grep -c '"target"' BENCH_RISEFL.json) records)"
+	dune exec bench/main.exe -- units --smoke --json /tmp/units-smoke.json
+	@for row in fe-invert fe-pow-p58 point-compress point-decompress msm-129 msm-1025 msm-6400; do \
+	  grep -q "\"name\": \"$$row\"" /tmp/units-smoke.json || { echo "bench-smoke: units row $$row missing" >&2; exit 1; }; \
+	done
+	@echo "bench-smoke: units rows OK"
 
 # Batched-verifier gate: the differential/soundness corpus (batched and
 # naive verdicts must be bit-identical, every single-field corruption

@@ -9,7 +9,7 @@
      fig7    Figure 7 — RiseFL stage breakdown vs k
      fig8    Figure 8 — FL training curves under attacks, three checkers
      micro   §6.2     — Bechamel micro-benchmarks of the primitive costs
-     units   group-layer unit costs: ns/op and minor words/op at jobs = 1
+     units   group-layer unit costs: ns/op, minor words/op and point ops/op at jobs = 1
      ablate  DESIGN.md ablations — naive vs optimized projection check
      faults  fault-injected transport degradation ladder (EXPERIMENTS.md)
      recovery  WAL overhead (bytes/round, fsyncs, wall-clock) + crash recovery
@@ -583,9 +583,12 @@ and run_parallel_scaling () =
 (* ------------------------------------------------------------------ *)
 (* Unit costs of the group layer                                       *)
 
-(* ns/op (median and quartiles over timed batches) and minor-heap words
-   per op, at jobs = 1: the unit costs that telemetry op counts multiply
-   into stage costs.  The words column repeats exactly for fixed inputs. *)
+(* ns/op (median and quartiles over timed batches), minor-heap words per
+   op and the point operations of one call (full additions, madds,
+   doublings; point.add counts both kinds of addition, so full = add -
+   madd), at jobs = 1: the unit costs that telemetry op counts multiply
+   into stage costs.  The words and op columns repeat exactly for fixed
+   inputs. *)
 let run_units () =
   pf "================ Group-layer unit costs (jobs = 1) ================\n";
   let module Fe = Curve25519.Fe in
@@ -597,11 +600,24 @@ let run_units () =
   let p = Point.mul_base (Scalar.random drbg) and q = Point.mul_base (Scalar.random drbg) in
   let s = Scalar.random drbg and t = Scalar.random drbg in
   let nq = (Point.to_niels_batch [| q |]).(0) in
+  let enc = Point.compress p in
   let tbl = Point.Table.make p in
-  let pairs = Array.init 1025 (fun _ -> (Scalar.random drbg, Point.mul_base (Scalar.random drbg))) in
+  let pairs n = Array.init n (fun _ -> (Scalar.random drbg, Point.mul_base (Scalar.random drbg))) in
+  let pairs129 = pairs 129 and pairs1025 = pairs 1025 and pairs6400 = pairs 6400 in
   let scale = if config.smoke then 10 else 1 in
   let reps = if config.smoke then 5 else 11 in
-  pf "%-16s %12s %12s %12s %14s\n" "op" "median" "q1" "q3" "minor words";
+  let counters = List.map Telemetry.Counter.make [ "point.add"; "point.madd"; "point.double" ] in
+  (* full additions, madds and doublings of one call *)
+  let ops f =
+    let was_enabled = Telemetry.enabled () in
+    Telemetry.enable ();
+    let before = List.map Telemetry.Counter.value counters in
+    ignore (Sys.opaque_identity (f ()));
+    let delta = List.map2 (fun c v -> Telemetry.Counter.value c - v) counters before in
+    if not was_enabled then Telemetry.disable ();
+    match delta with [ add; madd; dbl ] -> (add - madd, madd, dbl) | _ -> assert false
+  in
+  pf "%-16s %12s %12s %12s %12s %8s %8s %8s\n" "op" "median" "q1" "q3" "minor words" "adds" "madds" "doubles";
   List.iter
     (fun (name, iters, f) ->
       let iters = Stdlib.max 1 (iters / scale) in
@@ -609,6 +625,7 @@ let run_units () =
       let w0 = Gc.minor_words () in
       ignore (Sys.opaque_identity (f ()));
       let words = Gc.minor_words () -. w0 in
+      let adds, madds, doubles = ops f in
       let samples =
         Array.init reps (fun _ ->
             let t0 = Telemetry.Clock.now_s () in
@@ -625,19 +642,25 @@ let run_units () =
         else if x < 1e-3 then Printf.sprintf "%.2f us" (x *. 1e6)
         else Printf.sprintf "%.2f ms" (x *. 1e3)
       in
-      pf "%-16s %12s %12s %12s %14.0f\n" name (show (q 2)) (show (q 1)) (show (q 3)) words)
+      pf "%-16s %12s %12s %12s %12.0f %8d %8d %8d\n" name (show (q 2)) (show (q 1)) (show (q 3)) words adds
+        madds doubles)
     [
       ("fe-add", 200_000, fun () -> Obj.repr (Fe.add a b));
       ("fe-mul", 200_000, fun () -> Obj.repr (Fe.mul a b));
       ("fe-square", 200_000, fun () -> Obj.repr (Fe.square a));
       ("fe-invert", 2_000, fun () -> Obj.repr (Fe.invert a));
+      ("fe-pow-p58", 2_000, fun () -> Obj.repr (Fe.pow_p58 a));
       ("point-add", 20_000, fun () -> Obj.repr (Point.add p q));
       ("point-double", 20_000, fun () -> Obj.repr (Point.double p));
       ("point-madd", 20_000, fun () -> Obj.repr (Point.madd p nq));
+      ("point-compress", 2_000, fun () -> Obj.repr (Point.compress p));
+      ("point-decompress", 2_000, fun () -> Obj.repr (Point.decompress_unchecked enc));
       ("point-mul", 100, fun () -> Obj.repr (Point.mul s p));
       ("double-mul", 100, fun () -> Obj.repr (Point.double_mul s p t q));
       ("table-mul", 400, fun () -> Obj.repr (Point.Table.mul tbl s));
-      ("msm-1025", 2, fun () -> Obj.repr (Msm.msm pairs));
+      ("msm-129", 20, fun () -> Obj.repr (Msm.msm pairs129));
+      ("msm-1025", 2, fun () -> Obj.repr (Msm.msm pairs1025));
+      ("msm-6400", 1, fun () -> Obj.repr (Msm.msm pairs6400));
     ];
   Parallel.set_default_jobs saved_jobs
 

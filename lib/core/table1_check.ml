@@ -43,7 +43,9 @@ let bands =
        instead of ~331, which inflates every ratio by ~10%; the bands
        bracket the measured points (1.0, 37.6, 1.9, 15, 4.2, 1.4) with
        margin only for the wNAF digit-count jitter of the random
-       calibration scalars *)
+       calibration scalars.  The signed-digit Pippenger later moved the
+       MSM-heavy stages down, inside the same bands, to (1.0, 32.7, 1.3,
+       10.8, 3.2, 1.4) *)
     ("client-commit", (0.7, 1.6));
     (* absolute proof-gen cost at CI scale is dominated by the range
        proofs' O(k*b_ip + b_max) committed bits (~5 ge per bit), which the

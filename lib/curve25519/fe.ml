@@ -283,22 +283,62 @@ let of_bigint x =
 
 let of_int n = of_bigint (Bigint.of_int n)
 
-(* Exponentiation by a fixed bigint exponent (square-and-multiply,
-   MSB-first).  Only used off the hot path: inversion and square roots. *)
-let pow_bigint f e =
-  let nbits = Bigint.bit_length e in
-  if nbits = 0 then one
-  else begin
-    let acc = copy f in
-    for i = nbits - 2 downto 0 do
-      square_into acc acc;
-      if Bigint.testbit e i then mul_into acc acc f
-    done;
-    acc
-  end
+(* Fixed exponents by the ref10 addition chains: 254 squarings and 11
+   multiplications for p - 2 = 2^255 - 21, 251 and 11 for (p - 5)/8 =
+   2^252 - 3.  Both chains share the prefix below, and each runs in place
+   on four temporaries. *)
 
-let p_minus_2 = Bigint.(sub p two)
-let invert f = pow_bigint f p_minus_2
+(* h <- f^(2^n), n >= 1; [h] may be [f] *)
+let square_n_into h f n =
+  square_into h f;
+  for _ = 2 to n do
+    square_into h h
+  done
+
+(* t0 <- z^11 and t1 <- z^(2^250 - 1); t2 and t3 are scratch.  The
+   comments give the exponent of z just computed. *)
+let pow_2_250_1 t0 t1 t2 t3 z =
+  square_into t0 z;
+  square_n_into t1 t0 2;
+  mul_into t1 z t1;
+  mul_into t0 t0 t1;
+  square_into t2 t0;
+  mul_into t1 t1 t2;
+  (* 2^5 - 1 *)
+  square_n_into t2 t1 5;
+  mul_into t1 t2 t1;
+  (* 2^10 - 1 *)
+  square_n_into t2 t1 10;
+  mul_into t2 t2 t1;
+  (* 2^20 - 1 *)
+  square_n_into t3 t2 20;
+  mul_into t2 t3 t2;
+  (* 2^40 - 1 *)
+  square_n_into t2 t2 10;
+  mul_into t1 t2 t1;
+  (* 2^50 - 1 *)
+  square_n_into t2 t1 50;
+  mul_into t2 t2 t1;
+  (* 2^100 - 1 *)
+  square_n_into t3 t2 100;
+  mul_into t2 t3 t2;
+  (* 2^200 - 1 *)
+  square_n_into t2 t2 50;
+  mul_into t1 t2 t1
+
+let invert z =
+  let t0 = create () and t1 = create () and t2 = create () and t3 = create () in
+  pow_2_250_1 t0 t1 t2 t3 z;
+  square_n_into t1 t1 5;
+  mul_into t1 t1 t0;
+  t1
+
+let pow_p58 z =
+  let t0 = create () and t1 = create () and t2 = create () and t3 = create () in
+  pow_2_250_1 t0 t1 t2 t3 z;
+  square_n_into t1 t1 2;
+  mul_into t1 t1 z;
+  t1
 
 let c_invb_calls = Telemetry.Counter.make "fe.invert_batch.calls"
 let c_invb_elems = Telemetry.Counter.make "fe.invert_batch.elems"
@@ -309,29 +349,31 @@ let invert_batch xs =
   let n = Array.length xs in
   if n = 0 then [||]
   else begin
-    (* replace zeros by one during accumulation, restore at the end *)
-    let zero_mask = Array.map is_zero xs in
-    let safe = Array.mapi (fun i x -> if zero_mask.(i) then one else x) xs in
-    let prefix = Array.make n one in
-    let acc = ref one in
-    for i = 0 to n - 1 do
-      prefix.(i) <- !acc;
-      acc := mul !acc safe.(i)
-    done;
-    let inv_all = ref (invert !acc) in
+    (* out.(i) first holds the product of the nonzero entries before i;
+       zero entries keep the shared [zero] and are skipped *)
     let out = Array.make n zero in
+    let acc = copy one in
+    for i = 0 to n - 1 do
+      if not (is_zero xs.(i)) then begin
+        out.(i) <- copy acc;
+        mul_into acc acc xs.(i)
+      end
+    done;
+    let inv = invert acc in
     for i = n - 1 downto 0 do
-      if not zero_mask.(i) then out.(i) <- mul !inv_all prefix.(i);
-      inv_all := mul !inv_all safe.(i)
+      let o = out.(i) in
+      if o != zero then begin
+        mul_into o inv o;
+        mul_into inv inv xs.(i)
+      end
     done;
     out
   end
-let p58 = Bigint.(shift_right (sub p (of_int 5)) 3)
-let pow_p58 f = pow_bigint f p58
 
+(* 2^((p - 1)/4), a square root of -1 (ref10's sqrtm1) *)
 let sqrt_m1 =
-  (* 2^((p-1)/4) is a square root of -1 mod p *)
-  pow_bigint (of_int 2) Bigint.(shift_right (sub p one) 2)
+  make10 (-32595792) (-7943725) 9377950 3500415 12389472 (-272473) (-25146209) (-2005654) 326686
+    11406482
 
 let edwards_d =
   let inv121666 = Bigint.mod_inv (Bigint.of_int 121666) p in

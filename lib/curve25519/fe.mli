@@ -65,7 +65,8 @@ val to_limbs : t -> int array
 (** Raises [Invalid_argument] unless given exactly ten limbs. *)
 val of_limbs : int array -> t
 
-(** [invert x] is [x^(p-2)] — the multiplicative inverse (0 maps to 0). *)
+(** [invert x] is [x^(p-2)] — the multiplicative inverse (0 maps to 0),
+    by the ref10 addition chain: 254 squarings and 11 multiplications. *)
 val invert : t -> t
 
 (** [invert_batch xs] inverts every element with a single field
@@ -74,7 +75,8 @@ val invert : t -> t
 val invert_batch : t array -> t array
 
 (** [pow_p58 x] is [x^((p-5)/8)], the core step of the square-root used in
-    point decompression. *)
+    point decompression: 251 squarings and 11 multiplications, sharing
+    {!invert}'s chain up to [x^(2^250-1)]. *)
 val pow_p58 : t -> t
 
 (** Canonical 32-byte little-endian encoding (top bit clear). *)

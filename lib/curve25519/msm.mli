@@ -6,6 +6,13 @@
     precomputation, the client's VerCrt batch verification (Algorithm 3)
     and the server's e_t recomputation are all instances.
 
+    Exponents are recoded into signed c-bit digits, so a window has
+    2^(c−1) buckets and a negative digit subtracts its base at the cost of
+    an addition. The window size c minimizes the modelled bucket work,
+    ⌈(b+1)/c⌉·(n·madd + 2^c·add) for n points per chunk and b-bit
+    exponents, so it depends on the chunk size and the exponent width
+    only.
+
     Both entry points split the point set into per-domain chunks executed
     on the {!Parallel} pool ([?jobs] defaults to
     [Parallel.default_jobs ()]); partial chunk sums merge in fixed order,
@@ -21,10 +28,6 @@ val msm : ?jobs:int -> (Scalar.t * Point.t) array -> Point.t
     [Invalid_argument] if an exponent is [min_int], whose magnitude is
     not a native int. *)
 val msm_small : ?jobs:int -> (int * Point.t) array -> Point.t
-
-(** [window_bits n] — the window size heuristic used internally (exposed
-    for the cost model and tests). *)
-val window_bits : int -> int
 
 (** Points-per-chunk sequential cutoff: inputs that would leave a chunk
     with fewer points run sequentially regardless of [?jobs], because the

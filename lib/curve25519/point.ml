@@ -519,7 +519,15 @@ module Mut = struct
   let identity = fresh_identity
   let set_identity = set_identity
   let madd sc acc n = madd_into sc acc acc n ~neg:false
+  let msub sc acc n = madd_into sc acc acc n ~neg:true
   let add sc acc q = add_into sc acc acc q ~with_t:true
+
+  let copy dst src =
+    Fe.copy_into dst.x src.x;
+    Fe.copy_into dst.y src.y;
+    Fe.copy_into dst.z src.z;
+    Fe.copy_into dst.t src.t
+
   let double sc acc ~with_t = double_into sc acc acc ~with_t
   let freeze = fresh_copy
 end

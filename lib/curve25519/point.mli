@@ -40,10 +40,11 @@ val mul : Scalar.t -> t -> t
     extended point ({!madd}) costs 7 field multiplications instead of 9.
     The fixed-base tables and the MSM inputs are batch-converted to this
     form through a single Montgomery inversion ({!to_niels_batch}); table
-    lookups and MSM bucket insertions are madds, while the MSM bucket
-    fold adds projective points with {!add}. The results are the same
-    group elements as the extended-coordinates path — compressed
-    encodings, proofs and verdicts are bit-identical. *)
+    lookups and MSM bucket insertions are madds (or {!msub}s, for negative
+    digits), while the MSM bucket fold adds projective points with
+    {!add}. The results are the same group elements as the
+    extended-coordinates path — compressed encodings, proofs and verdicts
+    are bit-identical. *)
 
 type niels
 
@@ -83,9 +84,16 @@ module Mut : sig
   (** [madd sc acc n] — [acc <- acc + n], a {!madd}. *)
   val madd : scratch -> acc -> niels -> unit
 
+  (** [msub sc acc n] — [acc <- acc − n], an {!msub}: the negation of
+      [n] is free. *)
+  val msub : scratch -> acc -> niels -> unit
+
   (** [add sc acc q] — [acc <- acc + q], a full {!add}; [q] must not be
       [acc]. *)
   val add : scratch -> acc -> acc -> unit
+
+  (** [copy dst src] — [dst <- src]; no group operation, no counter. *)
+  val copy : acc -> acc -> unit
 
   (** [double sc acc ~with_t] — [acc <- 2·acc], a {!double}. With
       [with_t:false] the extended T coordinate is left stale, which is
@@ -159,8 +167,10 @@ val compress_batch : t array -> Bytes.t array
     receiver. *)
 val decompress : Bytes.t -> t option
 
-(** Decode without the (expensive) subgroup check — for trusted inputs
-    such as locally generated tables. Still checks on-curve + canonical. *)
+(** Decode without the (expensive) subgroup check. Still checks on-curve
+    + canonical. Used for locally generated data and by the wire codecs,
+    whose protocol checks do not rely on subgroup membership (see
+    [Serial]). *)
 val decompress_unchecked : Bytes.t -> t option
 
 (** Affine coordinates (x, y) — mostly for tests. *)

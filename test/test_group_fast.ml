@@ -1,11 +1,14 @@
-(* Group-layer fast paths: the in-place field and point kernels, wNAF
-   scalar multiplication, signed fixed-base tables, batched-affine MSM,
-   the center-out BSGS solver, and the persistent table cache.  Every
-   fast path is differentially tested against a slow reference (the
-   kernels against the allocating seed implementation, limb for limb and
-   op count for op count), the kernels' allocation is pinned, and the
-   cache is tested against corruption: a bad cache file must read as a
-   miss, never as wrong data. *)
+(* Group-layer fast paths: the in-place field and point kernels, the
+   inversion and square-root addition chains, wNAF scalar
+   multiplication, signed fixed-base tables, signed-digit batched-affine
+   MSM, the center-out BSGS solver, and the persistent table cache.
+   Every fast path is differentially tested against a slow reference
+   (the kernels against the allocating seed implementation, limb for
+   limb and op count for op count; the chains against Bigint; the MSM
+   against the seed's unsigned Pippenger, byte for byte, with its own
+   op counts pinned), the kernels' allocation is pinned, and the cache
+   is tested against corruption: a bad cache file must read as a miss,
+   never as wrong data. *)
 
 module Fe = Curve25519.Fe
 module Scalar = Curve25519.Scalar
@@ -421,9 +424,17 @@ module Reference = struct
     in
     Parallel.tree_combine padd partials
 
+  (* the seed's window size: c = floor(log2 n) - 1, clamped to [1, 16] *)
+  let window_bits n =
+    if n <= 1 then 1
+    else begin
+      let rec lg acc v = if v <= 1 then acc else lg (acc + 1) (v lsr 1) in
+      Stdlib.max 1 (Stdlib.min 16 (lg 0 n - 1))
+    end
+
   let chunk_window ~jobs n =
     let k = Array.length (chunk_bounds ~jobs n) in
-    Msm.window_bits ((n + k - 1) / k)
+    window_bits ((n + k - 1) / k)
 
   let msm ~jobs pairs =
     let n = Array.length pairs in
@@ -544,6 +555,34 @@ let test_fe_vs_reference () =
   Alcotest.(check (array int)) "copy_into leaves the source" a (Fe.to_limbs fa);
   Alcotest.(check (array int)) "copy_into" (Fe.to_limbs Fe.one) (Fe.to_limbs c)
 
+(* the addition chains of invert and pow_p58 against Bigint, on edge
+   values (zero included), random values and the widest carried limbs the
+   point formulas feed them; the batch inversion against single ones *)
+let test_chains_vs_bigint () =
+  let hex x = B.to_hex x in
+  let p58 = B.shift_right (B.sub Fe.p (B.of_int 5)) 3 in
+  let inputs =
+    List.map Fe.of_bigint [ B.zero; B.one; B.sub Fe.p B.one; B.of_int 2; B.of_int 19 ]
+    @ List.init 20 (fun _ -> rand_fe ())
+    @ List.map Fe.of_limbs fe_inputs
+  in
+  List.iter
+    (fun x ->
+      let limbs = Fe.to_limbs x and v = Fe.to_bigint x in
+      let inv = if B.is_zero v then B.zero else B.mod_inv v Fe.p in
+      Alcotest.(check string) ("invert " ^ hex v) (hex inv) (hex (Fe.to_bigint (Fe.invert x)));
+      Alcotest.(check string) ("pow_p58 " ^ hex v) (hex (B.mod_pow v p58 Fe.p)) (hex (Fe.to_bigint (Fe.pow_p58 x)));
+      Alcotest.(check (array int)) "input untouched" limbs (Fe.to_limbs x))
+    inputs;
+  (* the batch, with zeros at both ends and inside, matches one by one *)
+  let batch = Array.of_list ((Fe.zero :: inputs) @ [ Fe.zero ]) in
+  Array.iteri
+    (fun i inv -> Alcotest.(check string) (Printf.sprintf "invert_batch %d" i) (hex (Fe.to_bigint (Fe.invert batch.(i)))) (hex (Fe.to_bigint inv)))
+    (Fe.invert_batch batch);
+  Alcotest.(check string) "sqrt_m1 = 2^((p-1)/4)"
+    (hex (B.mod_pow B.two (B.shift_right (B.sub Fe.p B.one) 2) Fe.p))
+    (hex (Fe.to_bigint Fe.sqrt_m1))
+
 (* --- point kernels vs the seed: bytes and op counts --- *)
 
 let op_counters = [ "point.add"; "point.double"; "point.madd"; "point.scalarmul" ]
@@ -628,30 +667,135 @@ let test_points_vs_reference () =
         small_exponents)
     [ 1; 2; 4 ]
 
+(* --- signed-digit Pippenger vs the seed: same bytes, fewer additions ---
+
+   The MSM computes the same group elements as the seed's unsigned
+   Pippenger ([Reference.msm]) with different operations, so its counts
+   are pinned exactly (they repeat for fixed inputs) and its point.add
+   count must not exceed the seed's. *)
+
+(* [f ()]'s result against the seed's, and both op-count lists *)
+let vs_seed name ~reference f =
+  let expected, ref_ops = Reference.count reference in
+  let got, ops = count_ops f in
+  Alcotest.(check bytes) (name ^ " bytes") (Reference.compress expected) (Point.compress got);
+  Alcotest.(check bool)
+    (Printf.sprintf "%s point.add %d <= seed %d" name (List.hd ops) (List.hd ref_ops))
+    true
+    (List.hd ops <= List.hd ref_ops);
+  ops
+
+(* Σ_w digit * 2^(c w) over the c-bit windows below 2^bits *)
+let repeated_digit ~bits ~c digit =
+  let v = ref B.zero in
+  for w = 0 to (bits / c) - 1 do
+    v := B.add !v (B.shift_left (B.of_int digit) (c * w))
+  done;
+  !v
+
+(* Exponents below 2^bits whose signed recoding carries for some window
+   size c the library can pick: every unsigned digit 2^(c-1) (the largest
+   digit that needs no borrow), every digit 2^(c-1) + 1 (each borrows, and
+   the borrow runs into the top window), and all ones. *)
+let carry_exponents ~bits =
+  B.sub (B.shift_left B.one bits) B.one
+  :: List.concat_map
+       (fun c ->
+         let half = 1 lsl (c - 1) in
+         repeated_digit ~bits ~c half :: (if c >= 2 then [ repeated_digit ~bits ~c (half + 1) ] else []))
+       (List.init 20 (fun i -> i + 1))
+
+let carry_scalars =
+  Scalar.zero :: Scalar.one
+  :: Scalar.of_bigint (B.sub Scalar.order B.one)
+  :: List.map Scalar.of_bigint (carry_exponents ~bits:252)
+
+let carry_small =
+  0 :: 1 :: -1 :: max_int :: -max_int
+  :: List.concat_map (fun e -> let e = B.to_int e in [ e; -e ]) (carry_exponents ~bits:62)
+
+(* Exact (point.add, point.double, point.madd, point.scalarmul) of msm
+   and msm_small on the grid below, per job count.  At 2100 points, jobs
+   2 and 4 split the MSM into two chunks. *)
+let msm_pins =
+  let same ms ss = List.map (fun jobs -> (jobs, ms, ss)) [ 1; 2; 4 ] in
+  [
+    (1, same [ 220; 250; 91; 0 ] [ 22; 28; 11; 0 ]);
+    (2, same [ 207; 252; 91; 0 ] [ 25; 26; 11; 0 ]);
+    (37, same [ 2613; 252; 1712; 0 ] [ 323; 60; 217; 0 ]);
+    ( 2100,
+      [
+        (1, [ 65001; 248; 57066; 0 ], [ 11368; 54; 8739; 0 ]);
+        (2, [ 72912; 496; 57066; 0 ], [ 12195; 112; 10404; 0 ]);
+        (4, [ 72912; 496; 57066; 0 ], [ 12195; 112; 10404; 0 ]);
+      ] );
+  ]
+
 let test_msm_vs_reference () =
+  let d = Prng.Drbg.create_string "msm-vs-seed" in
+  let point () = Point.mul_base (Scalar.random d) in
+  (* every carry exponent alone and beside a random term *)
+  let p = point () and q = point () in
+  let rp = Reference.of_point p and rq = Reference.of_point q in
+  let s = Scalar.random d and e = Prng.Drbg.uniform_int d (1 lsl 30) in
+  List.iter
+    (fun jobs ->
+      List.iter
+        (fun c ->
+          let tag n = Printf.sprintf "msm %s n=%d jobs=%d" (B.to_hex (Scalar.to_bigint c)) n jobs in
+          ignore (vs_seed (tag 1) ~reference:(fun () -> Reference.msm ~jobs [| (c, rp) |]) (fun () -> Msm.msm ~jobs [| (c, p) |]));
+          ignore
+            (vs_seed (tag 2)
+               ~reference:(fun () -> Reference.msm ~jobs [| (s, rq); (c, rp) |])
+               (fun () -> Msm.msm ~jobs [| (s, q); (c, p) |])))
+        carry_scalars;
+      List.iter
+        (fun c ->
+          let tag n = Printf.sprintf "msm_small %d n=%d jobs=%d" c n jobs in
+          ignore
+            (vs_seed (tag 1) ~reference:(fun () -> Reference.msm_small ~jobs [| (c, rp) |]) (fun () -> Msm.msm_small ~jobs [| (c, p) |]));
+          ignore
+            (vs_seed (tag 2)
+               ~reference:(fun () -> Reference.msm_small ~jobs [| (e, rq); (c, rp) |])
+               (fun () -> Msm.msm_small ~jobs [| (e, q); (c, p) |])))
+        carry_small)
+    [ 1; 2; 4 ];
   (* 2100 points split into two chunks at jobs 2 and 4, so the
      per-chunk accumulators and the cross-chunk combine are covered *)
-  let pool = Array.init 2100 (fun i -> if i mod 97 = 5 then Point.identity else rand_point ()) in
+  let pool = Array.init 2100 (fun i -> if i mod 97 = 5 then Point.identity else point ()) in
+  let carry_scalars = Array.of_list carry_scalars and carry_small = Array.of_list carry_small in
   List.iter
-    (fun n ->
+    (fun (n, pins) ->
       let pts = Array.init n (fun i -> pool.(if i mod 13 = 7 then 0 else i)) in
       let rpts = Array.map Reference.of_point pts in
-      let scalars = Array.init n (fun i -> if i mod 11 = 3 then Scalar.zero else rand_scalar ()) in
+      let scalars =
+        Array.init n (fun i ->
+            if i mod 4 = 1 then carry_scalars.(i / 4 mod Array.length carry_scalars)
+            else if i mod 11 = 3 then Scalar.zero
+            else Scalar.random d)
+      in
       let exps =
         Array.init n (fun i ->
-            match i mod 5 with 0 -> 0 | 1 -> max_int | _ -> Prng.Drbg.uniform_int drbg (1 lsl 30) - (1 lsl 29))
+            if i mod 4 = 1 then carry_small.(i / 4 mod Array.length carry_small)
+            else Prng.Drbg.uniform_int d (1 lsl 30) - (1 lsl 29))
       in
       List.iter
-        (fun jobs ->
+        (fun (jobs, msm_ops, small_ops) ->
           let tag name = Printf.sprintf "%s n=%d jobs=%d" name n jobs in
-          check_vs_reference (tag "msm")
-            ~reference:(fun () -> Reference.msm ~jobs (Array.map2 (fun s p -> (s, p)) scalars rpts))
-            (fun () -> Msm.msm ~jobs (Array.map2 (fun s p -> (s, p)) scalars pts));
-          check_vs_reference (tag "msm_small")
-            ~reference:(fun () -> Reference.msm_small ~jobs (Array.map2 (fun e p -> (e, p)) exps rpts))
-            (fun () -> Msm.msm_small ~jobs (Array.map2 (fun e p -> (e, p)) exps pts)))
-        [ 1; 2; 4 ])
-    [ 1; 2; 37; 2100 ]
+          let ops =
+            vs_seed (tag "msm")
+              ~reference:(fun () -> Reference.msm ~jobs (Array.map2 (fun s p -> (s, p)) scalars rpts))
+              (fun () -> Msm.msm ~jobs (Array.map2 (fun s p -> (s, p)) scalars pts))
+          in
+          let small =
+            vs_seed (tag "msm_small")
+              ~reference:(fun () -> Reference.msm_small ~jobs (Array.map2 (fun e p -> (e, p)) exps rpts))
+              (fun () -> Msm.msm_small ~jobs (Array.map2 (fun e p -> (e, p)) exps pts))
+          in
+          Alcotest.(check (list int)) (tag "msm add/double/madd/scalarmul") msm_ops ops;
+          Alcotest.(check (list int)) (tag "msm_small add/double/madd/scalarmul") small_ops small)
+        pins)
+    msm_pins
 
 let test_msm_small_min_int () =
   let p = rand_point () and q = rand_point () in
@@ -975,6 +1119,7 @@ let () =
       ( "kernels",
         [
           Alcotest.test_case "fe ops vs seed limbs" `Quick test_fe_vs_reference;
+          Alcotest.test_case "invert, pow_p58 vs Bigint" `Quick test_chains_vs_bigint;
           Alcotest.test_case "point ops vs seed" `Quick test_points_vs_reference;
           Alcotest.test_case "msm vs seed" `Quick test_msm_vs_reference;
           Alcotest.test_case "msm_small rejects min_int" `Quick test_msm_small_min_int;

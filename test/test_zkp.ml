@@ -594,8 +594,8 @@ let test_prove_op_budget () =
       List.iter2 (fun name (e, got) -> Alcotest.(check int) (label ^ " " ^ name) e got) op_counters
         (List.combine expected ops))
     [
-      ("sigma", 32, 32, [ 584513; 521872; 190716; 4162; 6161 ]);
-      ("mu", 128, 1, [ 99401; 68034; 36832; 516; 779 ]);
+      ("sigma", 32, 32, [ 473766; 521832; 220109; 4162; 6161 ]);
+      ("mu", 128, 1, [ 78776; 67994; 39534; 516; 779 ]);
     ]
 
 let () =
