@@ -31,11 +31,12 @@ bench-smoke:
 	done
 	@echo "bench-smoke: units rows OK"
 
-# Batched-verifier gate: the differential/soundness corpus (batched and
-# naive verdicts must be bit-identical, every single-field corruption
-# rejected with the same C*) at a reduced stride, plus the verify bench
-# smoke point — the build fails if the batched path falls below a 2x
-# jobs=1 speedup over the naive reference.
+# Per-batch verifier gate: the differential/soundness corpora (naive and
+# per-batch verdicts must be bit-identical at batch 1 and batch n, every
+# single-field corruption — g or torsion bumped — rejected with the same
+# C*) at a reduced stride, plus the verify bench smoke point — the build
+# fails if the per-batch verifier falls below a 2x jobs=1 speedup over
+# the naive reference.
 verify-smoke:
 	BATCH_STRIDE=4 dune exec test/test_batch_verify.exe
 	dune exec bench/main.exe -- verify --smoke --json /tmp/verify-smoke.json --gate-verify 2.0
@@ -134,13 +135,13 @@ serve-smoke:
 	@grep -q '"name": "loopback-round-s"' /tmp/serve-smoke.json \
 	  || { echo "serve-smoke: transport records missing from bench JSON" >&2; exit 1; }
 
-# Streaming-verification gate: the quick differential suite (Acc
-# flush/capacity units, streamed-vs-barrier bit-identity across the
+# Streaming-verification gate: the quick differential suite (small
+# batches vs the default one-batch round, bit-identical across the
 # jobs x shards matrix, batch-boundary edges, late agg-stage conviction,
-# stream counters), a CLI round diffed barrier-vs-streamed, then the
-# stream bench smoke — the build fails if the streamed path's peak
-# resident memory grows more than 1.25x across the client ladder while
-# the barrier path's doubles.
+# stream counters), a default CLI round diffed against a sharded
+# small-batch one, then the stream bench smoke — the build fails if the
+# small-batch peak resident memory grows more than 1.25x across the
+# client ladder while the one-batch contrast doubles.
 stream-smoke:
 	STREAM_STRIDE=2 dune exec test/test_stream.exe -- -q
 	dune build bin/risefl_cli.exe
@@ -148,14 +149,14 @@ stream-smoke:
 	BIN=_build/default/bin/risefl_cli.exe; \
 	DIR=/tmp/risefl-stream; rm -rf $$DIR; mkdir -p $$DIR; \
 	ARGS="--clients 6 --dimension 16 --samples 4 --seed stream-smoke"; \
-	$$BIN round $$ARGS | grep -E "flagged|aggregate" > $$DIR/barrier.txt; \
-	$$BIN round $$ARGS --stream --shards 2 --stream-batch 2 \
+	$$BIN round $$ARGS | grep -E "flagged|aggregate" > $$DIR/default.txt; \
+	$$BIN round $$ARGS --shards 2 --stream-batch 2 \
 	  | tee $$DIR/stream-full.txt | grep -E "flagged|aggregate" > $$DIR/stream.txt; \
-	diff $$DIR/barrier.txt $$DIR/stream.txt \
-	  || { echo "stream-smoke: streamed round diverged from the barrier round" >&2; exit 1; }; \
+	diff $$DIR/default.txt $$DIR/stream.txt \
+	  || { echo "stream-smoke: small-batch round diverged from the default round" >&2; exit 1; }; \
 	grep -q "stream: 6 folded, 6 evicted" $$DIR/stream-full.txt \
 	  || { echo "stream-smoke: stream counters missing from CLI output" >&2; exit 1; }; \
-	echo "stream-smoke: barrier/streamed CLI rounds bit-identical"
+	echo "stream-smoke: default/small-batch CLI rounds bit-identical"
 	dune exec bench/main.exe -- stream --smoke --json /tmp/stream-smoke.json --gate-stream 1.25
 	@grep -q '"name": "stream-peak-growth"' /tmp/stream-smoke.json \
 	  || { echo "stream-smoke: peak-memory records missing from bench JSON" >&2; exit 1; }

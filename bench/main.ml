@@ -14,7 +14,7 @@
      faults  fault-injected transport degradation ladder (EXPERIMENTS.md)
      recovery  WAL overhead (bytes/round, fsyncs, wall-clock) + crash recovery
      serve   deployment transport: socket-loopback round latency + counters
-     stream  streaming verification: barrier vs arrival-ordered fold, time + memory
+     stream  streaming verification: one batch vs small batches, time + memory
      topology commit-stage bytes per client, all-to-all vs k-regular sharing
      churn   elastic membership: per-epoch enrollment/rotation costs + overhead
      all     everything above
@@ -162,7 +162,8 @@ let risefl_point ~n ~m ~d ~k ~seed =
   let bound = 1.25 *. max_norm updates in
   let params = risefl_params ~n ~m ~d ~k ~bound in
   let setup = Setup.create ~label:(Printf.sprintf "bench/%d/%d" d k) params in
-  Driver.run_iteration setup ~updates ~behaviours:(Driver.honest_all n) ~seed ~round:1
+  Driver.run_round (Driver.create_session setup ~seed) ~updates ~behaviours:(Driver.honest_all n)
+    ~round:1
 
 let mb bytes = float_of_int bytes /. 1048576.0
 
@@ -743,10 +744,12 @@ let run_phases () =
   | None -> failwith "phases: round did not complete"
 
 (* ------------------------------------------------------------------ *)
-(* Naive vs batched server verification (DESIGN.md "Batch
+(* Naive vs per-batch server verification (DESIGN.md "Proof
    verification").  One committed round is built per ladder point; each
-   timing re-enters at begin_round so both paths verify the identical
-   proof set, and their verdicts are cross-checked every run.           *)
+   timing re-enters at begin_round so both verifiers check the identical
+   proof set, and their verdicts are cross-checked every run.  The
+   per-batch verifier runs with batch = n, so the whole round is one
+   batch.                                                               *)
 
 let verify_gate = ref None (* --gate-verify threshold on jobs=1 speedup *)
 
@@ -774,11 +777,11 @@ let verify_round ~n ~m ~d ~k ~seed =
     clients;
   let s, hs = Server.prepare_check server in
   let hs_tables = Parallel.parallel_map Point.Table.make hs in
-  let proofs = Array.map (fun c -> Some (Client.proof_round ~hs_tables c ~round:1 ~s ~hs)) clients in
+  let proofs = Array.map (fun c -> Client.proof_round ~hs_tables c ~round:1 ~s ~hs) clients in
   (server, commits, proofs)
 
 let run_verify () =
-  pf "================ verify: naive vs batched server verification ================\n";
+  pf "================ verify: naive vs per-batch server verification ================\n";
   let ladder =
     if config.smoke then [ (32, 4, 4) ]
     else if config.full then [ (32, 4, 4); (128, 8, 4); (128, 8, 8); (256, 16, 8) ]
@@ -794,16 +797,23 @@ let run_verify () =
       in
       List.iter
         (fun jobs ->
-          let time_verify ~batched =
+          let time_verify verify =
             Server.begin_round server ~round:1 ~commits;
-            let (), s =
-              Telemetry.Clock.time (fun () ->
-                  Server.verify_proofs ~jobs ~batched server ~round:1 ~proofs)
-            in
+            let (), s = Telemetry.Clock.time verify in
             (Server.malicious server, s)
           in
-          let bad_n, naive_s = time_verify ~batched:false in
-          let bad_b, batched_s = time_verify ~batched:true in
+          let bad_n, naive_s =
+            time_verify (fun () ->
+                Server.verify_proofs_naive ~jobs server ~round:1 ~proofs:(Array.map Option.some proofs))
+          in
+          let bad_b, batched_s =
+            time_verify (fun () ->
+                let st =
+                  Server.stream_begin ~jobs server ~round:1 ~cfg:(Server.stream_cfg ~batch:n ())
+                in
+                Array.iteri (fun i pr -> Server.stream_feed st ~sender:(i + 1) pr) proofs;
+                Server.stream_finish st)
+          in
           if bad_n <> bad_b then failwith "verify bench: naive/batched verdict mismatch";
           if bad_b <> [] then failwith "verify bench: honest round rejected";
           record ~target:"verify" ~name:"verify-naive" ~jobs ~d ~k ~n naive_s;
@@ -897,7 +907,8 @@ let run_group () =
   let iterate label =
     let setup, setup_s = Telemetry.Clock.time (fun () -> Setup.create ~label params) in
     let stats =
-      Driver.run_iteration setup ~updates ~behaviours:(Driver.honest_all n) ~seed ~round:1
+      Driver.run_round (Driver.create_session setup ~seed) ~updates
+        ~behaviours:(Driver.honest_all n) ~round:1
     in
     (setup_s, stats)
   in
@@ -1131,14 +1142,15 @@ let run_serve () =
     snap.Telemetry.counters
 
 (* ------------------------------------------------------------------ *)
-(* Streaming verification: barrier vs arrival-ordered fold, wall time
-   and resident memory.  Both paths start from the identical committed
-   round; [peak] is the max live-words delta over the post-commit
-   baseline while the proof stage holds its inputs.  The barrier path
-   must retain every proof frame (and the un-evicted commit records)
-   until the batch verify; the streamed path folds each frame on
-   arrival and evicts, so its delta stays bounded by the flush batch
-   plus the compressed per-client spill — near-flat in n.              *)
+(* Streaming verification: small batches vs one batch, wall time and
+   resident memory.  Both runs start from the identical committed round
+   and feed the proofs as they are generated; [peak] is the max
+   live-words delta over the post-commit baseline during the proof
+   stage.  With batch = n (the contrast) every proof frame and every
+   commit record stays resident until the single verification at the
+   end; with small batches each batch is verified and evicted as it
+   fills, so the delta stays bounded by the batch plus the compressed
+   per-client spill — near-flat in n.                                   *)
 
 let stream_gate = ref None (* --gate-stream cap on streamed peak growth across the ladder *)
 
@@ -1147,7 +1159,7 @@ let live_peak () =
   Telemetry.live_words ()
 
 let run_stream () =
-  pf "================ stream: barrier vs streaming verification ================\n";
+  pf "================ stream: one batch vs small batches ================\n";
   let d = if config.smoke then 16 else 64 in
   let k = if config.smoke then 4 else 16 in
   let ladder =
@@ -1158,14 +1170,14 @@ let run_stream () =
   let shards = 2 and batch = 4 in
   pf "d=%d k=%d, streaming cfg: shards=%d batch=%d\n" d k shards batch;
   pf "peak = max live-words delta over the post-commit baseline during the proof stage\n\n";
-  pf "%-6s | %12s %14s | %12s %14s | %8s\n" "n" "barrier(s)" "peak(words)" "stream(s)"
+  pf "%-6s | %12s %14s | %12s %14s | %8s\n" "n" "one-batch(s)" "peak(words)" "stream(s)"
     "peak(words)" "ratio";
   let stream_peaks = ref [] in
   List.iter
     (fun n ->
       let m = max 1 (n / 4) in
       let seed = ns_seed (Printf.sprintf "bench-stream-%d" n) in
-      let run ~streamed =
+      let run cfg =
         let drbg = Prng.Drbg.create_string (seed ^ "/updates") in
         let updates = mk_updates drbg ~n ~d ~amp:40 in
         let bound = 1.25 *. max_norm updates in
@@ -1187,7 +1199,7 @@ let run_stream () =
         Server.begin_round server ~round:1 ~commits:(Array.map Option.some commits);
         let s, hs = Server.prepare_check server in
         let hs_tables = Parallel.parallel_map Point.Table.make hs in
-        (* the committed round is the shared baseline for both paths *)
+        (* the committed round is the shared baseline for both runs *)
         let l0 = live_peak () in
         let peak = ref 0 in
         let observe () =
@@ -1196,47 +1208,32 @@ let run_stream () =
         in
         let (), stage_s =
           Telemetry.Clock.time (fun () ->
-              if streamed then begin
-                let st =
-                  Server.stream_begin server ~round:1 ~cfg:(Server.stream_cfg ~shards ~batch ())
-                in
-                Array.iteri
-                  (fun i c ->
-                    let pr = Client.proof_round ~hs_tables c ~round:1 ~s ~hs in
-                    Server.stream_feed st ~sender:(i + 1) pr;
-                    observe ())
-                  clients;
-                Server.stream_finish st
-              end
-              else begin
-                let proofs =
-                  Array.map (fun c -> Some (Client.proof_round ~hs_tables c ~round:1 ~s ~hs)) clients
-                in
-                observe ();
-                Server.verify_proofs server ~round:1 ~proofs;
-                ignore (Sys.opaque_identity proofs)
-              end)
+              let st = Server.stream_begin server ~round:1 ~cfg in
+              Array.iteri
+                (fun i c ->
+                  let pr = Client.proof_round ~hs_tables c ~round:1 ~s ~hs in
+                  Server.stream_feed st ~sender:(i + 1) pr;
+                  observe ())
+                clients;
+              Server.stream_finish st)
         in
         if Server.malicious server <> [] then failwith "stream bench: honest round rejected";
         (stage_s, !peak)
       in
-      let barrier_s, barrier_w = run ~streamed:false in
-      let stream_s, stream_w = run ~streamed:true in
-      let ratio =
-        if barrier_w > 0 then float_of_int stream_w /. float_of_int barrier_w else 0.0
-      in
+      let one_s, one_w = run (Server.stream_cfg ~batch:n ()) in
+      let stream_s, stream_w = run (Server.stream_cfg ~shards ~batch ()) in
+      let ratio = if one_w > 0 then float_of_int stream_w /. float_of_int one_w else 0.0 in
       stream_peaks := stream_w :: !stream_peaks;
-      pf "%-6d | %12.3f %14d | %12.3f %14d | %7.2f\n" n barrier_s barrier_w stream_s stream_w
-        ratio;
-      record ~target:"stream" ~name:"barrier-proof-stage-s" ~d ~k ~n barrier_s;
+      pf "%-6d | %12.3f %14d | %12.3f %14d | %7.2f\n" n one_s one_w stream_s stream_w ratio;
+      record ~target:"stream" ~name:"one-batch-proof-stage-s" ~d ~k ~n one_s;
       record ~target:"stream" ~name:"stream-proof-stage-s" ~d ~k ~n stream_s;
-      record ~target:"stream" ~name:"barrier-peak-words" ~d ~k ~n (float_of_int barrier_w);
+      record ~target:"stream" ~name:"one-batch-peak-words" ~d ~k ~n (float_of_int one_w);
       record ~target:"stream" ~name:"stream-peak-words" ~d ~k ~n (float_of_int stream_w);
       record ~target:"stream" ~name:"stream-peak-ratio" ~d ~k ~n ratio)
     ladder;
   (* flat-memory gate: the streamed peak at the top of the ladder must stay
      within [thr]x of the smallest point's, while n itself grows by the
-     ladder factor (the barrier column is the contrast, not the gate) *)
+     ladder factor (the one-batch column is the contrast, not the gate) *)
   let growth =
     match List.rev !stream_peaks with
     | first :: (_ :: _ as rest) when first > 0 ->

@@ -194,14 +194,12 @@ type remote = {
     {!recover_round}). All stages always run; quorum loss surfaces as
     [failure = Some (Insufficient_quorum _)], never as an exception.
 
-    With [stream] the proof stage runs the server's streaming
-    verification pipeline ({!Server.stream_begin}): each arrived frame
-    is folded into the round's sharded RLC accumulators and its decoded
-    bulk evicted, instead of the whole stage being retained for one
-    post-barrier {!Server.verify_proofs}. Verdicts, C* and the aggregate
-    are bit-identical to the barrier path for every (jobs, shards,
-    arrival-order) combination; resident decoded state drops from
-    O(n·d + n²) to O(d + batch·d).
+    The proof stage hands each arrived frame to the server's per-batch
+    verifier ({!Server.stream_begin}); [stream] sets its shards and
+    batch size (default {!Server.stream_cfg} [()]: one shard, batch 64).
+    Verdicts, C* and the aggregate are the same for every (jobs, shards,
+    batch, arrival-order) combination; a smaller batch bounds resident
+    decoded state at O(d + batch·d) instead of O(n·d + n²).
 
     With [topology] (default [Full]) the round's share graph is selected:
     [Kregular k] derives a seeded k-regular neighborhood graph from
@@ -261,9 +259,9 @@ val run_round_outcome :
     stages. The server DRBG is fast-forwarded to the snapshot position,
     so the check string, proof verdicts, aggregate and C* are
     bit-identical to the uncrashed run. Pass the same [wal] to keep
-    logging the recovered tail, and the same [stream] config to resume a
-    streamed round — the logged proof frames replay straight through the
-    streaming intake, so a crash mid-stream resumes the fold. An elastic
+    logging the recovered tail. The logged proof frames replay straight
+    through the per-batch verifier, so a crash mid-stage resumes it. An
+    elastic
     round recovers under its [epoch]: pass the same one, or leave it out
     and the crashed round's logged [Epoch] record (written before its
     [Round_start]) is used. *)
@@ -337,28 +335,6 @@ val run_session :
     interleaved with the rounds — exactly what {!run_session} does. *)
 val churn_cohort_for :
   session -> spec:Membership.spec -> rounds:int -> int -> Membership.epoch option
-
-(** [run_iteration setup ~updates ~behaviours ~seed ~round] — one-shot
-    convenience: a fresh session running a single round. [updates] are
-    encoded (fixed-point) vectors, one per client; [behaviours] selects
-    the adversary model per client. Deterministic in [seed]. Accepts the
-    same wire/durability optionals as {!run_round} ([endpoint],
-    [reliable], [wal]) so one-shot harnesses exercise the full stack. *)
-val run_iteration :
-  ?predicate:Predicate.t ->
-  ?serialize:bool ->
-  ?transport:Netsim.t ->
-  ?endpoint:Netsim.Transport_intf.endpoint ->
-  ?reliable:Reliable.t ->
-  ?wal:Round_log.t ->
-  ?stream:Server.stream_cfg ->
-  ?topology:Risefl_topology.Topology.mode ->
-  Setup.t ->
-  updates:int array array ->
-  behaviours:behaviour array ->
-  seed:string ->
-  round:int ->
-  stats
 
 (** [honest_all n] — convenience: n honest behaviours. *)
 val honest_all : int -> behaviour array

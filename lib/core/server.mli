@@ -81,33 +81,20 @@ val process_flags :
     Returns (s, h) for broadcast. *)
 val prepare_check : t -> Bytes.t * Point.t array
 
-(** [verify_proofs ?predicate ?jobs ?batched t ~round ~proofs] — full
-    §4.4.2 verification for every client: e*-consistency against y_i
-    (batch check), ρ, τ, σ, μ (plus the w-linkage material under the
+(** [verify_proofs_naive ?predicate ?jobs t ~round ~proofs] — the
+    reference verifier: full §4.4.2 verification for every client,
+    evaluating each verifier equation directly — e*-consistency against
+    y_i (batch check), ρ, τ, σ, μ (plus the w-linkage material under the
     cosine predicate). Clients whose proof fails (or is absent) are added
-    to C*.
-
-    With [batched] (the default) every verifier equation of every client
-    is folded into a single random-linear-combination MSM: each equation
-    contributes ρ_j·(LHS − RHS) with an independent coefficient ρ_j drawn
-    from a DRBG forked by (round, client), scaled by a per-client outer
-    coefficient σ_i, and the whole round is accepted by ONE
-    Pippenger evaluation returning the identity. On failure the
-    per-client term blocks are bisected to recover exact C* attribution.
-    A batch containing a cheating equation survives with probability
-    ≤ (#equations)/ℓ ≈ 2⁻²⁴⁰ over the coefficient draw.
-    [batched:false] selects the naive per-equation reference path (the
-    differential-testing baseline).
-
-    Clients accumulate/verify in parallel on [jobs] domains (default
-    [Parallel.default_jobs ()]); the accepted/rejected sets are identical
-    for every job count and for both paths — all per-client randomness
-    (VerCrt challenges, RLC coefficients) is forked from the server key
-    by (round, id), not drawn from a shared stream. *)
-val verify_proofs :
+    to C*. Rounds never run through it; it is the baseline the per-batch
+    verifier ({!stream_begin}) is tested and benchmarked against, and the
+    two agree on C* for every input. Clients verify in parallel on
+    [jobs] domains (default [Parallel.default_jobs ()]); the VerCrt
+    challenges are forked from the server key by (round, id), so verdicts
+    are identical for every job count. *)
+val verify_proofs_naive :
   ?predicate:Predicate.t ->
   ?jobs:int ->
-  ?batched:bool ->
   t ->
   round:int ->
   proofs:Wire.proof_msg option array ->
@@ -116,33 +103,37 @@ val verify_proofs :
 (** The honest list H = cohort \ C* (1-based ids). *)
 val honest : t -> int list
 
-(** {2 Streaming verification pipeline}
+(** {2 Proof verification}
 
-    The barrier path above ({!verify_proofs}) needs every proof frame —
-    and every commit's decoded y vector — resident at once: O(n·d) points
-    plus O(n²) share ciphertexts. The streaming pipeline instead folds
-    each proof into the round's RLC accumulator {e as it arrives}, checks
-    complete per-client term blocks batch-by-batch (honest blocks sum to
-    the identity individually, so any batch of complete blocks is
-    independently checkable), folds each survivor's y into a running
-    aggregate and its check string into a running combined check, spills
-    the survivor's y compressed (32 B/point) for possible late-conviction
-    subtraction, and then {e evicts} the decoded bulk — bounding resident
-    decoded state to O(d + batch·d) regardless of n.
+    The server verifies proofs as they arrive, one batch at a time. Each
+    proof frame joins its shard's buffer (client i lands in shard
+    (i−1) mod [shards]); when a shard holds [batch] frames, or at
+    {!stream_finish}, the batch is verified exactly as a whole round
+    would be: every verifier equation of every client in the batch —
+    VerCrt, Wf, the k Square proofs, the cosine branch and both range
+    proofs — contributes ρ_j·(LHS − RHS) with an independent coefficient
+    ρ_j drawn from a DRBG forked by (round, client) and scaled by a
+    per-client outer coefficient, all blocks go into one fresh
+    accumulator, and ONE Pippenger MSM decides the batch. A non-identity
+    result is bisected over the per-client blocks for exact blame.
+    Nothing carries over between batches.
 
-    Sharding splits clients across [shards] independent accumulators
-    (client i lands in shard (i−1) mod shards); {!stream_finish} merges
-    them in ascending shard order, so results are deterministic in
-    (jobs, shards, arrival order): all per-client randomness is forked by
-    (round, id) and the group arithmetic is exact and commutative, making
-    verdicts, C* and the final aggregate bit-identical to the barrier
-    path. (Sole caveat, shared in kind with batched-vs-naive: two
-    dishonest blocks cancelling {e exactly} across different batches —
-    probability ≈ 2⁻²⁵² per pair — would be accepted by the one-shot
-    barrier eval but convicted by the per-batch checks.) *)
+    Survivors then fold their y into a running aggregate and their check
+    string into a running combined check, spill y compressed (32 B per
+    point) for a possible late conviction, and have their decoded bulk
+    evicted, so resident decoded state is O(d + batch·d) instead of
+    O(n·d + n²). A round with every client in one batch (the default,
+    [shards:1 batch:64], for n ≤ 64) is one MSM over all clients.
 
-(** Streaming knobs: [shards] independent accumulators, flush a shard
-    after [batch] buffered frames. *)
+    Verdicts, C* and the aggregate are the same for every (jobs, shards,
+    batch, arrival order) and equal {!verify_proofs_naive}'s C*: all
+    per-client randomness is forked by (round, id) and the group
+    arithmetic is exact. (Caveat: two dishonest blocks that cancel
+    {e exactly} — probability ≈ 2⁻²⁵² per pair — pass when they share a
+    batch and are convicted when they do not.) *)
+
+(** Verifier knobs: [shards] independent batch buffers, verify a shard's
+    batch once it holds [batch] frames. *)
 type stream_cfg = { shards : int; batch : int }
 
 (** [stream_cfg ?shards ?batch ()] — validated constructor (both >= 1);
@@ -152,37 +143,35 @@ val stream_cfg : ?shards:int -> ?batch:int -> unit -> stream_cfg
 (** In-progress streaming verification for one round. *)
 type stream
 
-(** Counters from the last streamed round (see {!stream_stats}). *)
+(** Counters from the last finished stream (see {!stream_stats}). *)
 type stream_stats = {
-  folded : int;  (** proof frames folded into an accumulator *)
+  folded : int;  (** proof frames whose equations reached a batch MSM *)
   evicted : int;  (** commit records whose decoded bulk was dropped *)
-  flushes : int;  (** partial-MSM evaluations *)
+  flushes : int;  (** batches verified (one MSM each) *)
   peak_batch : int;  (** largest batch at any flush *)
 }
 
-(** [stream_begin ?predicate ?jobs t ~round ~cfg] — start streaming the
+(** [stream_begin ?predicate ?jobs t ~round ~cfg] — start verifying the
     round's proofs. Must be called after {!begin_round} (and the check
     preparation); feeds then arrive in any order via {!stream_feed}. *)
 val stream_begin :
   ?predicate:Predicate.t -> ?jobs:int -> t -> round:int -> cfg:stream_cfg -> stream
 
-(** [stream_feed st ~sender msg] — fold one arrived proof frame. First
+(** [stream_feed st ~sender msg] — buffer one arrived proof frame. First
     frame per sender wins (duplicates ignored, matching the transport's
-    dedup); frames from clients already in C* are dropped. Flushes the
-    sender's shard when its batch fills.
+    dedup); frames from clients already in C* are dropped. Verifies the
+    sender's shard batch when it fills.
     @raise Invalid_argument after {!stream_finish}. *)
 val stream_feed : stream -> sender:int -> Wire.proof_msg -> unit
 
-(** [stream_finish st] — drain partial batches (shard order), mark
-    clients that never fed as malicious ("no proof"), merge the shard
-    accumulators and install the streamed aggregate so the next
-    {!aggregate} call uses the running sums. Idempotent.
-    @raise Failure if the merged accumulator violates the internal
-    identity invariant (cannot happen absent a soundness bug). *)
+(** [stream_finish st] — verify the partial batches (shard order), mark
+    clients that never fed as malicious ("no proof"), merge the shards'
+    running sums and install them for {!aggregate} /
+    {!aggregate_kregular}. Idempotent. *)
 val stream_finish : stream -> unit
 
-(** Cumulative seconds spent folding/flushing/finishing (the streamed
-    round's analogue of the barrier verify-stage wall time). *)
+(** Cumulative seconds spent verifying batches and finishing: the
+    server's proof-verification wall time for the round. *)
 val stream_elapsed_s : stream -> float
 
 (** Stats from the last {!stream_finish} on this server, if any. *)
@@ -232,8 +221,12 @@ val pp_agg_error : Format.formatter -> agg_error -> unit
 
 (** [aggregate t ~agg_msgs] — verify each aggregated share against the
     summed check strings, recover r = Σ r_i, and solve each coordinate
-    with BSGS. Returns the aggregated encoded update Σ_{i∈H} u_i, or a
-    typed error; never raises on hostile input. *)
+    with BSGS. The sums come from the round's finished proof stream
+    ({!stream_finish}), minus any client convicted after its fold.
+    Returns the aggregated encoded update Σ_{i∈H} u_i, or a typed error;
+    never raises on hostile input.
+    @raise Invalid_argument if no stream of the current round has
+    finished. *)
 val aggregate : t -> agg_msgs:Wire.agg_msg option array -> (int array, agg_error) result
 
 (** [aggregate_kregular t ~topo ~honest ~recover ~agg_msgs] — the
@@ -248,10 +241,13 @@ val aggregate : t -> agg_msgs:Wire.agg_msg option array -> (int array, agg_error
     at least the neighborhood threshold of shares verify against the
     dropout's retained check string, otherwise the dropout's update is
     excluded (removed from the product and the combined check — not
-    convicted). Streamed rounds subtract excluded/late clients from the
-    running sums via the spill. The recovered R is checked against the
+    convicted). The sums come from the round's finished proof stream,
+    with excluded and late-convicted clients subtracted via the spill.
+    The recovered R is checked against the
     combined commitment (Π z_i) before decoding; a mismatch — any
-    tampered masked sum — yields [Aggregate_mismatch]. *)
+    tampered masked sum — yields [Aggregate_mismatch].
+    @raise Invalid_argument if no stream of the current round has
+    finished. *)
 val aggregate_kregular :
   t ->
   topo:Risefl_topology.Topology.t ->

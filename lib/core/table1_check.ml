@@ -171,9 +171,14 @@ let run ?(n = 3) ?(m = 1) ?(d = 256) ?(k = 4) ?(seed = "table1-check") () =
   let prest =
     Array.init (n - 1) (fun i -> Client.proof_round ~hs_tables clients.(i + 1) ~round:1 ~s ~hs)
   in
-  let proofs = Array.map Option.some (Array.append [| p0 |] prest) in
-  (* --- server verification, all n clients, batched --- *)
-  let (), ver_ops = delta_ops (fun () -> Server.verify_proofs server ~round:1 ~proofs) in
+  let proofs = Array.append [| p0 |] prest in
+  (* --- server verification, all n clients in one batch --- *)
+  let (), ver_ops =
+    delta_ops (fun () ->
+        let st = Server.stream_begin server ~round:1 ~cfg:(Server.stream_cfg ()) in
+        Array.iteri (fun i pr -> Server.stream_feed st ~sender:(i + 1) pr) proofs;
+        Server.stream_finish st)
+  in
   if Server.malicious server <> [] then failwith "table1_check: honest round was rejected";
   (* --- aggregation --- *)
   let honest = Server.honest server in

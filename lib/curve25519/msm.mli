@@ -65,38 +65,7 @@ module Acc : sig
       usable. *)
   val terms : t -> (Scalar.t * Point.t) array
 
-  (** Current term-buffer capacity in slots (exposed for the ratchet
-      tests: {!reset}/{!flush} must return grown buffers to
-      {!initial_capacity}). *)
-  val capacity : t -> int
-
-  (** The capacity {!create} allocates and {!reset}/{!flush} shrink back
-      to. *)
-  val initial_capacity : int
-
-  (** [reset t] — drop all buffered terms {e and} the carry, and return
-      any grown term buffers to {!initial_capacity}. The accumulator is
-      as fresh as after {!create} (same coalesce set). *)
-  val reset : t -> unit
-
-  (** [flush ?jobs t] — partial evaluation: fold the buffered terms into
-      an internal running {e carry} point with one MSM, empty the buffers
-      (shrinking them back to {!initial_capacity}), and return the carry
-      so far. After a flush, {!eval} = carry + MSM(new terms); a streamed
-      sequence of pushes interleaved with flushes therefore evaluates to
-      the same group element as one deferred eval over all terms. *)
-  val flush : ?jobs:int -> t -> Point.t
-
-  (** The running carry (identity until the first {!flush}). *)
-  val carry : t -> Point.t
-
-  (** [merge dst src] — fold [src]'s carry and buffered terms into [dst]
-      (deterministic: carry first, then [src]'s terms in their buffer
-      order, re-coalesced against [dst]'s coalesce set). [src] is not
-      modified. Used to merge per-shard accumulators shard-ordered. *)
-  val merge : t -> t -> unit
-
-  (** Evaluate carry + buffered terms with one Pippenger MSM. *)
+  (** Evaluate the buffered terms with one Pippenger MSM. *)
   val eval : ?jobs:int -> t -> Point.t
 
   (** [is_identity ?jobs t] = [Point.is_identity (eval ?jobs t)]. *)

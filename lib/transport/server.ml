@@ -20,7 +20,7 @@ type config = {
   stage_deadline_s : float;
   wal_path : string option;
   crash : (int * Netsim.stage * Driver.crash_point) option;
-  stream : Risefl_core.Server.stream_cfg option;
+  stream : Risefl_core.Server.stream_cfg;
   topology : Topology.mode;
   churn : Risefl_core.Membership.spec option;
       (* elastic membership: derive each round's cohort from the seeded
@@ -502,10 +502,10 @@ let serve ?(log = fun _ -> ()) cfg =
        let outcome =
          try
            if resumed_round = Some round then
-             Driver.recover_round ~remote ?wal ?stream:cfg.stream ?epoch
+             Driver.recover_round ~remote ?wal ~stream:cfg.stream ?epoch
                ~topology:cfg.topology session ~records ~updates ~behaviours ~round
            else
-             Driver.run_round_outcome ~remote ?wal ?crash:crash_here ?stream:cfg.stream
+             Driver.run_round_outcome ~remote ?wal ?crash:crash_here ~stream:cfg.stream
                ?epoch ~topology:cfg.topology session ~updates ~behaviours ~round
          with Driver.Server_crashed { stage; at } -> die_crashed st wal stage at
        in

@@ -30,10 +30,10 @@ type config = {
   wal_path : string option;
   crash : (int * Netsim.stage * Driver.crash_point) option;
       (** die (SIGKILL) at this point; requires [wal_path] *)
-  stream : Risefl_core.Server.stream_cfg option;
-      (** verify proofs through the streaming pipeline (arrival-ordered
-          folding + eviction) instead of the post-barrier batch; recovery
-          replays logged proof frames through the same intake *)
+  stream : Risefl_core.Server.stream_cfg;
+      (** shards and batch size of the per-batch proof verifier
+          ({!Risefl_core.Server.stream_begin}); recovery replays logged
+          proof frames through the same intake *)
   topology : Risefl_topology.Topology.mode;
       (** the session's share topology. Under [Kregular k] the server
           requires {!Proto.proto_version} from every client (old clients

@@ -1,17 +1,24 @@
-(* Differential + soundness tests for the batched (random-linear-
-   combination) verifier against the naive per-equation path.
+(* Differential + soundness tests for the per-batch random-linear-
+   combination verifier (the server's stream intake) against the naive
+   per-equation reference.
 
-   - Valid proofs: both paths accept, across jobs ∈ {1, 2, 4}.
+   - Valid proofs: both accept, across jobs ∈ {1, 2, 4}.
    - Structural failures (missing proof, sender mismatch): identical C*.
    - Seeded corruption corpus: for EVERY point and EVERY scalar of a
      genuine proof bundle, a single corruption (point += g, scalar += 1)
-     must be rejected by BOTH paths with the SAME C* attribution. The
-     full corpus runs at jobs = 1; a stride of it re-runs at jobs = 2
-     and 4 to pin jobs-invariance of the batched bisection.
+     must be rejected by both verifiers with the SAME C* attribution, the
+     per-batch one at batch 1 (one flush per client, so a convicted block
+     is followed by honest batches) and at batch n (the whole round in
+     one MSM). The full corpus runs at jobs = 1; a stride of it re-runs
+     at jobs = 2 and 4 to pin jobs-invariance of the bisection.
+   - Torsion corpus: every point field bumped by the order-2 point
+     T = (0, -1) instead of g. Wire points decode without a subgroup
+     check, so a proof point can carry a small-order component; the
+     per-batch verdicts must still equal the naive ones.
    - Multi-client corruption: the failure bisection must attribute every
      corrupted client, and only those.
 
-   BATCH_STRIDE (default 1 = full corpus) subsamples the corpus for
+   BATCH_STRIDE (default 1 = full corpus) subsamples the corpora for
    quicker local iterations. *)
 
 module Params = Risefl_core.Params
@@ -19,6 +26,7 @@ module Setup = Risefl_core.Setup
 module Client = Risefl_core.Client
 module Server = Risefl_core.Server
 module Wire = Risefl_core.Wire
+module Serial = Risefl_core.Serial
 module Point = Curve25519.Point
 module Scalar = Curve25519.Scalar
 module Wf = Zkp.Sigma.Wf
@@ -64,80 +72,107 @@ let clients, server, commits, proofs =
   let proofs = Array.map (fun c -> Client.proof_round c ~round:1 ~s ~hs) clients in
   (clients, server, commits, proofs)
 
-let verdict ~batched ~jobs trial_proofs =
+let verdict_naive ~jobs trial_proofs =
   Server.begin_round server ~round:1 ~commits;
-  Server.verify_proofs ~jobs ~batched server ~round:1 ~proofs:trial_proofs;
+  Server.verify_proofs_naive ~jobs server ~round:1 ~proofs:trial_proofs;
+  Server.malicious server
+
+let verdict_batched ~jobs ~batch trial_proofs =
+  Server.begin_round server ~round:1 ~commits;
+  let st = Server.stream_begin ~jobs server ~round:1 ~cfg:(Server.stream_cfg ~batch ()) in
+  Array.iteri
+    (fun idx pr -> Option.iter (Server.stream_feed st ~sender:(idx + 1)) pr)
+    trial_proofs;
+  Server.stream_finish st;
   Server.malicious server
 
 let check_both ~name ~jobs ~expected trial_proofs =
-  let naive = verdict ~batched:false ~jobs trial_proofs in
-  let batched = verdict ~batched:true ~jobs trial_proofs in
-  Alcotest.(check (list int)) (name ^ " naive verdict (jobs=" ^ string_of_int jobs ^ ")") expected naive;
-  Alcotest.(check (list int)) (name ^ " batched = naive (jobs=" ^ string_of_int jobs ^ ")") naive batched
+  let tag = Printf.sprintf "%s (jobs=%d)" name jobs in
+  let naive = verdict_naive ~jobs trial_proofs in
+  Alcotest.(check (list int)) (tag ^ " naive verdict") expected naive;
+  List.iter
+    (fun batch ->
+      Alcotest.(check (list int))
+        (Printf.sprintf "%s batch=%d = naive" tag batch)
+        naive
+        (verdict_batched ~jobs ~batch trial_proofs))
+    [ 1; n ]
 
 (* --- single-field corruption corpus --- *)
 
-let bump_pt p = Point.add p setup.Setup.g
+(* [pt] and [sc] corrupt one point or scalar field: the main corpus adds
+   g to a point and 1 to a scalar *)
+let bump_g p = Point.add p setup.Setup.g
 let bump_sc s = Scalar.add s Scalar.one
-let bump_parr arr i = Array.mapi (fun j x -> if j = i then bump_pt x else x) arr
-let bump_sarr arr i = Array.mapi (fun j x -> if j = i then bump_sc x else x) arr
 
-let mut_wf (w : Wf.proof) =
+let torsion =
+  (* y = p - 1 = -1, x = 0: little-endian 2^255 - 20, sign bit clear *)
+  let b = Bytes.make 32 '\xff' in
+  Bytes.set b 0 '\xec';
+  Bytes.set b 31 '\x7f';
+  match Point.decompress_unchecked b with
+  | Some t -> t
+  | None -> failwith "(0, -1) does not decode"
+
+let bump_torsion p = Point.add p torsion
+let bump_arr f arr i = Array.mapi (fun j x -> if j = i then f x else x) arr
+
+let mut_wf ~pt ~sc (w : Wf.proof) =
   List.concat
     [
-      [ ("az", { w with Wf.az = bump_pt w.Wf.az }); ("zr", { w with Wf.zr = bump_sc w.Wf.zr }) ];
+      [ ("az", { w with Wf.az = pt w.Wf.az }); ("zr", { w with Wf.zr = sc w.Wf.zr }) ];
       List.init (Array.length w.Wf.ae) (fun i ->
-          (Printf.sprintf "ae[%d]" i, { w with Wf.ae = bump_parr w.Wf.ae i }));
+          (Printf.sprintf "ae[%d]" i, { w with Wf.ae = bump_arr pt w.Wf.ae i }));
       List.init (Array.length w.Wf.ao) (fun i ->
-          (Printf.sprintf "ao[%d]" i, { w with Wf.ao = bump_parr w.Wf.ao i }));
+          (Printf.sprintf "ao[%d]" i, { w with Wf.ao = bump_arr pt w.Wf.ao i }));
       List.init (Array.length w.Wf.zv) (fun i ->
-          (Printf.sprintf "zv[%d]" i, { w with Wf.zv = bump_sarr w.Wf.zv i }));
+          (Printf.sprintf "zv[%d]" i, { w with Wf.zv = bump_arr sc w.Wf.zv i }));
       List.init (Array.length w.Wf.zs) (fun i ->
-          (Printf.sprintf "zs[%d]" i, { w with Wf.zs = bump_sarr w.Wf.zs i }));
+          (Printf.sprintf "zs[%d]" i, { w with Wf.zs = bump_arr sc w.Wf.zs i }));
     ]
 
-let mut_square (sq : Square.proof) =
+let mut_square ~pt ~sc (sq : Square.proof) =
   [
-    ("a1", { sq with Square.a1 = bump_pt sq.Square.a1 });
-    ("a2", { sq with Square.a2 = bump_pt sq.Square.a2 });
-    ("zx", { sq with Square.zx = bump_sc sq.Square.zx });
-    ("zs", { sq with Square.zs = bump_sc sq.Square.zs });
-    ("zs'", { sq with Square.zs' = bump_sc sq.Square.zs' });
+    ("a1", { sq with Square.a1 = pt sq.Square.a1 });
+    ("a2", { sq with Square.a2 = pt sq.Square.a2 });
+    ("zx", { sq with Square.zx = sc sq.Square.zx });
+    ("zs", { sq with Square.zs = sc sq.Square.zs });
+    ("zs'", { sq with Square.zs' = sc sq.Square.zs' });
   ]
 
-let mut_ipa (ip : Ipa.proof) =
+let mut_ipa ~pt ~sc (ip : Ipa.proof) =
   List.concat
     [
       List.init (Array.length ip.Ipa.ls) (fun j ->
-          (Printf.sprintf "ls[%d]" j, { ip with Ipa.ls = bump_parr ip.Ipa.ls j }));
+          (Printf.sprintf "ls[%d]" j, { ip with Ipa.ls = bump_arr pt ip.Ipa.ls j }));
       List.init (Array.length ip.Ipa.rs) (fun j ->
-          (Printf.sprintf "rs[%d]" j, { ip with Ipa.rs = bump_parr ip.Ipa.rs j }));
-      [ ("a", { ip with Ipa.a = bump_sc ip.Ipa.a }); ("b", { ip with Ipa.b = bump_sc ip.Ipa.b }) ];
+          (Printf.sprintf "rs[%d]" j, { ip with Ipa.rs = bump_arr pt ip.Ipa.rs j }));
+      [ ("a", { ip with Ipa.a = sc ip.Ipa.a }); ("b", { ip with Ipa.b = sc ip.Ipa.b }) ];
     ]
 
-let mut_rp (rp : Rp.proof) =
+let mut_rp ~pt ~sc (rp : Rp.proof) =
   [
-    ("a", { rp with Rp.a = bump_pt rp.Rp.a });
-    ("s", { rp with Rp.s = bump_pt rp.Rp.s });
-    ("t1", { rp with Rp.t1 = bump_pt rp.Rp.t1 });
-    ("t2", { rp with Rp.t2 = bump_pt rp.Rp.t2 });
-    ("t_hat", { rp with Rp.t_hat = bump_sc rp.Rp.t_hat });
-    ("tau_x", { rp with Rp.tau_x = bump_sc rp.Rp.tau_x });
-    ("mu", { rp with Rp.mu = bump_sc rp.Rp.mu });
+    ("a", { rp with Rp.a = pt rp.Rp.a });
+    ("s", { rp with Rp.s = pt rp.Rp.s });
+    ("t1", { rp with Rp.t1 = pt rp.Rp.t1 });
+    ("t2", { rp with Rp.t2 = pt rp.Rp.t2 });
+    ("t_hat", { rp with Rp.t_hat = sc rp.Rp.t_hat });
+    ("tau_x", { rp with Rp.tau_x = sc rp.Rp.tau_x });
+    ("mu", { rp with Rp.mu = sc rp.Rp.mu });
   ]
-  @ List.map (fun (nm, ip) -> ("ipa." ^ nm, { rp with Rp.ipa = ip })) (mut_ipa rp.Rp.ipa)
+  @ List.map (fun (nm, ip) -> ("ipa." ^ nm, { rp with Rp.ipa = ip })) (mut_ipa ~pt ~sc rp.Rp.ipa)
 
 (* every single-field corruption of one proof bundle, labeled *)
-let mutations (m : Wire.proof_msg) =
+let mutations ~pt ~sc (m : Wire.proof_msg) =
   List.concat
     [
       List.init (Array.length m.Wire.es) (fun i ->
-          (Printf.sprintf "es[%d]" i, { m with Wire.es = bump_parr m.Wire.es i }));
+          (Printf.sprintf "es[%d]" i, { m with Wire.es = bump_arr pt m.Wire.es i }));
       List.init (Array.length m.Wire.os) (fun i ->
-          (Printf.sprintf "os[%d]" i, { m with Wire.os = bump_parr m.Wire.os i }));
+          (Printf.sprintf "os[%d]" i, { m with Wire.os = bump_arr pt m.Wire.os i }));
       List.init (Array.length m.Wire.os') (fun i ->
-          (Printf.sprintf "os'[%d]" i, { m with Wire.os' = bump_parr m.Wire.os' i }));
-      List.map (fun (nm, w) -> ("wf." ^ nm, { m with Wire.wf = w })) (mut_wf m.Wire.wf);
+          (Printf.sprintf "os'[%d]" i, { m with Wire.os' = bump_arr pt m.Wire.os' i }));
+      List.map (fun (nm, w) -> ("wf." ^ nm, { m with Wire.wf = w })) (mut_wf ~pt ~sc m.Wire.wf);
       List.concat
         (List.init (Array.length m.Wire.squares) (fun i ->
              List.map
@@ -147,9 +182,9 @@ let mutations (m : Wire.proof_msg) =
                      m with
                      Wire.squares = Array.mapi (fun j x -> if j = i then sq else x) m.Wire.squares;
                    } ))
-               (mut_square m.Wire.squares.(i))));
-      List.map (fun (nm, rp) -> ("sigma_range." ^ nm, { m with Wire.sigma_range = rp })) (mut_rp m.Wire.sigma_range);
-      List.map (fun (nm, rp) -> ("mu_range." ^ nm, { m with Wire.mu_range = rp })) (mut_rp m.Wire.mu_range);
+               (mut_square ~pt ~sc m.Wire.squares.(i))));
+      List.map (fun (nm, rp) -> ("sigma_range." ^ nm, { m with Wire.sigma_range = rp })) (mut_rp ~pt ~sc m.Wire.sigma_range);
+      List.map (fun (nm, rp) -> ("mu_range." ^ nm, { m with Wire.mu_range = rp })) (mut_rp ~pt ~sc m.Wire.mu_range);
     ]
 
 (* --- tests --- *)
@@ -172,7 +207,7 @@ let test_structural () =
 let test_corruption_corpus () =
   (* full corpus on client 1 at jobs=1; every 5th mutation re-checked at
      jobs=2 and 4 (the verdict must not depend on the domain count) *)
-  let muts = mutations proofs.(0) in
+  let muts = mutations ~pt:bump_g ~sc:bump_sc proofs.(0) in
   Alcotest.(check bool) "corpus covers all proof fields" true (List.length muts > 60);
   List.iteri
     (fun idx (name, bad_proof) ->
@@ -187,10 +222,32 @@ let test_corruption_corpus () =
       end)
     muts
 
+(* the torsion corpus: every point field of client 1 carries T on top of
+   its honest value. Both verifiers reject (T changes the transcript, so
+   no equation holds), and a convicted block's small-order component must
+   not reach any other client's verdict. Scalar fields are left alone, so
+   their entries are unchanged and skipped. *)
+let test_torsion_corpus () =
+  let honest_bytes = Serial.encode_proof_msg proofs.(0) in
+  let muts =
+    List.filter
+      (fun (_, m) -> not (Bytes.equal (Serial.encode_proof_msg m) honest_bytes))
+      (mutations ~pt:bump_torsion ~sc:Fun.id proofs.(0))
+  in
+  Alcotest.(check bool) "torsion corpus covers all point fields" true (List.length muts > 30);
+  List.iteri
+    (fun idx (name, bad_proof) ->
+      if idx mod stride = 0 then begin
+        let trial = Array.copy all_some in
+        trial.(0) <- Some bad_proof;
+        check_both ~name:("torsion " ^ name) ~jobs:1 ~expected:[ 1 ] trial
+      end)
+    muts
+
 let test_corruption_other_client () =
   (* same corruption semantics when the bad client is not the first: the
      bisection must not be position-sensitive *)
-  let muts = mutations proofs.(2) in
+  let muts = mutations ~pt:bump_g ~sc:bump_sc proofs.(2) in
   List.iteri
     (fun idx (name, bad_proof) ->
       if idx mod (5 * stride) = 0 then begin
@@ -201,7 +258,7 @@ let test_corruption_other_client () =
     muts
 
 let test_multi_client_bisection () =
-  (* two corrupted clients in the same round: one giant MSM fails, and
+  (* two corrupted clients in the same round: the batch MSM fails, and
      the bisection must attribute exactly both *)
   let m1 = { proofs.(0) with Wire.wf = { proofs.(0).Wire.wf with Wf.zr = bump_sc proofs.(0).Wire.wf.Wf.zr } } in
   let m3 = { proofs.(3) with Wire.sigma_range = { proofs.(3).Wire.sigma_range with Rp.t_hat = bump_sc proofs.(3).Wire.sigma_range.Rp.t_hat } } in
@@ -231,5 +288,6 @@ let () =
           Alcotest.test_case "multi-client bisection" `Quick test_multi_client_bisection;
           Alcotest.test_case "corruption corpus (client 1)" `Slow test_corruption_corpus;
           Alcotest.test_case "corruption corpus (client 3, stride)" `Slow test_corruption_other_client;
+          Alcotest.test_case "torsion corpus (client 1)" `Slow test_torsion_corpus;
         ] );
     ]

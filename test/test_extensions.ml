@@ -27,8 +27,8 @@ let test_sphere_roundtrip () =
   let shifted = Array.map (fun u -> Extensions.sphere_shift ~center u) updates in
   (* the shifted updates must satisfy the bound; here they do by size *)
   let stats =
-    Driver.run_iteration setup ~updates:shifted ~behaviours:(Driver.honest_all 4) ~seed:"sphere"
-      ~round:1
+    Driver.run_round (Driver.create_session setup ~seed:"sphere") ~updates:shifted
+      ~behaviours:(Driver.honest_all 4) ~round:1
   in
   match stats.Driver.aggregate with
   | None -> Alcotest.fail "aggregation failed"
@@ -44,7 +44,8 @@ let test_sphere_catches_far_update () =
   let shifted = Array.map (fun u -> Extensions.sphere_shift ~center u) updates in
   let behaviours = Driver.honest_all 4 in
   behaviours.(1) <- Driver.Oversized 100.0;
-  let stats = Driver.run_iteration setup ~updates:shifted ~behaviours ~seed:"sphere-far" ~round:1 in
+  let session = Driver.create_session setup ~seed:"sphere-far" in
+  let stats = Driver.run_round session ~updates:shifted ~behaviours ~round:1 in
   Alcotest.(check (list int)) "flagged" [ 2 ] stats.Driver.flagged
 
 (* --- zeno++ reduces to sphere --- *)

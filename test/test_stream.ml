@@ -1,19 +1,18 @@
-(* Streaming verification pipeline tests.
+(* Per-batch verifier tests, through the driver.
 
-   - Msm.Acc streaming primitives: flush/carry/merge evaluate to the
-     same group element as one deferred eval, and reset/flush return
-     grown term buffers to the initial capacity (the ratchet guard).
-   - Differential: a streamed round (arrival-ordered folding, sharded
-     accumulators, eviction) must reproduce the barrier round's
+   - Differential: a round verified in small batches (arrival-ordered
+     feeding, sharded batch buffers, eviction) must reproduce the default
+     config's round — one shard, batch 64, so every client in one batch —
      (aggregate, C*, failure) bit for bit across
      jobs ∈ {1,2,4} × shards ∈ {1,2,4}, including under seeded Netsim
-     reordering/duplication/delay, with corrupted proofs (in-batch
-     bisection parity) and with agg-stage decode failures (the
+     reordering/duplication/delay and under byte flips (which convict
+     clients whose proof frames still decode), with corrupted proofs
+     (in-batch bisection parity) and with agg-stage decode failures (the
      late-conviction subtraction path).
-   - Crash mid-proof-stream + WAL recovery: replaying the logged frames
-     through the streaming intake resumes the fold bit-identically.
-   - Batch-size edges: batch = 1 (flush per frame) and batch > n (one
-     terminal drain) are the same round.
+   - Crash mid-proof-stage + WAL recovery: replaying the logged frames
+     through the batch intake resumes verification bit-identically.
+   - Batch-size edges: batch = 1 (one MSM per frame) and batch > n (one
+     terminal batch) are the same round.
 
    STREAM_STRIDE subsamples the jobs × shards matrix; the default (2)
    keeps `dune runtest` wall time in check on small boxes, and
@@ -24,9 +23,6 @@ module Setup = Risefl_core.Setup
 module Driver = Risefl_core.Driver
 module Server = Risefl_core.Server
 module Round_log = Risefl_core.Round_log
-module Point = Curve25519.Point
-module Scalar = Curve25519.Scalar
-module Acc = Curve25519.Msm.Acc
 
 let fail fmt = Alcotest.failf fmt
 
@@ -36,68 +32,7 @@ let stride =
   | None -> 2
 
 (* ------------------------------------------------------------------ *)
-(* Acc streaming primitives *)
-
-let rand_terms ~seed count =
-  let drbg = Prng.Drbg.create_string seed in
-  Array.init count (fun _ ->
-      let s = Scalar.random drbg in
-      (s, Point.mul (Scalar.random drbg) Point.base))
-
-let test_acc_flush_equals_eval () =
-  let terms = rand_terms ~seed:"acc-flush" 50 in
-  let oneshot = Acc.create () in
-  Array.iter (fun (s, p) -> Acc.push oneshot s p) terms;
-  let want = Acc.eval oneshot in
-  (* same terms, flushed every 7 pushes *)
-  let streamed = Acc.create () in
-  Array.iteri
-    (fun i (s, p) ->
-      Acc.push streamed s p;
-      if i mod 7 = 6 then ignore (Acc.flush streamed))
-    terms;
-  if not (Point.equal want (Acc.eval streamed)) then
-    fail "interleaved flushes changed the evaluated sum";
-  (* carry is the whole sum after a terminal flush *)
-  if not (Point.equal want (Acc.flush streamed)) then fail "terminal flush is not the full sum";
-  if Acc.size streamed <> 0 then fail "flush left buffered terms behind"
-
-let test_acc_capacity_ratchet () =
-  let acc = Acc.create () in
-  if Acc.capacity acc <> Acc.initial_capacity then fail "fresh accumulator at wrong capacity";
-  let terms = rand_terms ~seed:"acc-cap" (3 * Acc.initial_capacity) in
-  Array.iter (fun (s, p) -> Acc.push acc s p) terms;
-  if Acc.capacity acc <= Acc.initial_capacity then fail "buffers did not grow under load";
-  ignore (Acc.flush acc);
-  if Acc.capacity acc <> Acc.initial_capacity then
-    fail "flush did not shrink buffers back to the initial capacity (got %d)" (Acc.capacity acc);
-  (* grow again, then reset: same shrink, and the carry is dropped too *)
-  Array.iter (fun (s, p) -> Acc.push acc s p) terms;
-  Acc.reset acc;
-  if Acc.capacity acc <> Acc.initial_capacity then fail "reset did not shrink buffers";
-  if Acc.size acc <> 0 || not (Point.is_identity (Acc.carry acc)) then
-    fail "reset left terms or a carry behind"
-
-let test_acc_merge () =
-  let terms = rand_terms ~seed:"acc-merge" 40 in
-  let oneshot = Acc.create () in
-  Array.iter (fun (s, p) -> Acc.push oneshot s p) terms;
-  let want = Acc.eval oneshot in
-  (* split round-robin across 3 shards, flush two of them mid-way *)
-  let shards = Array.init 3 (fun _ -> Acc.create ()) in
-  Array.iteri
-    (fun i (s, p) ->
-      Acc.push shards.(i mod 3) s p;
-      if i = 20 then ignore (Acc.flush shards.(0));
-      if i = 30 then ignore (Acc.flush shards.(1)))
-    terms;
-  let merged = Acc.create () in
-  Array.iter (fun sh -> Acc.merge merged sh) shards;
-  if not (Point.equal want (Acc.eval merged)) then
-    fail "sharded merge changed the evaluated sum"
-
-(* ------------------------------------------------------------------ *)
-(* streamed round vs barrier round *)
+(* small batches vs the default config (one batch) *)
 
 let n = 5
 let m = 2
@@ -136,8 +71,8 @@ let check_matrix ~name ?mk_transport ~behaviours () =
                 let stream = Server.stream_cfg ~shards ~batch () in
                 let got = run_one ~stream ?mk_transport ~jobs ~behaviours () in
                 if got <> want then
-                  fail "%s: streamed (jobs=%d shards=%d batch=%d) differs from barrier" name jobs
-                    shards batch)
+                  fail "%s: jobs=%d shards=%d batch=%d differs from the default config (one batch)"
+                    name jobs shards batch)
               [ 2 ]
           end;
           incr idx)
@@ -154,7 +89,7 @@ let test_stream_batch_edges () =
   List.iter
     (fun batch ->
       let got = run_one ~stream:(Server.stream_cfg ~shards:2 ~batch ()) ~jobs:2 ~behaviours () in
-      if got <> want then fail "batch=%d: streamed round differs from barrier" batch)
+      if got <> want then fail "batch=%d: round differs from the default config (one batch)" batch)
     [ 1; 3; 64 ]
 
 (* seeded reordering, duplication and delay — no loss or corruption, so
@@ -175,8 +110,29 @@ let test_stream_reordered_matrix () =
   check_matrix ~name:"reordered" ~mk_transport:reorder_transport
     ~behaviours:(Driver.honest_all n) ()
 
+(* byte flips on top of reordering: client 1's proof frame always gets
+   one flipped byte and every other frame may too. A flipped proof frame
+   that still decodes carries a wrong (possibly small-order) point or
+   scalar, so its client is convicted inside a batch and honest clients
+   follow it in later batches of the same shard. The two seeds are
+   rounds where a verifier that cancels convicted blocks out of a
+   running carry, instead of checking each batch on its own, raises
+   (stream-flip-2) or convicts an honest client (stream-flip-3). *)
+let flip_transport seed () =
+  Netsim.create
+    ~plan:{ Netsim.ideal with Netsim.p_flip = 0.05; p_reorder = 0.4 }
+    ~script:[ ((1, Netsim.Proof, 1), [ Netsim.Flip_bytes 1 ]) ]
+    ~deadline:6 ~seed ()
+
+let test_stream_flipped_matrix () =
+  List.iter
+    (fun seed ->
+      check_matrix ~name:("flipped " ^ seed) ~mk_transport:(flip_transport seed)
+        ~behaviours:(Driver.honest_all n) ())
+    [ "stream-flip-2"; "stream-flip-3" ]
+
 (* corrupted proofs: the in-batch bisection must attribute exactly the
-   barrier path's C*, whichever shard/batch the offenders land in *)
+   one-batch round's C*, whichever shard/batch the offenders land in *)
 let test_stream_corruption_parity () =
   let behaviours = Array.make n Driver.Honest in
   behaviours.(0) <- Driver.Oversized 100.0;
@@ -213,8 +169,8 @@ let test_stream_corruption_parity () =
   Parallel.set_default_jobs 2
 
 (* an agg-stage decode failure convicts a client *after* its proof was
-   folded and its commit bulk evicted: the streamed aggregate must
-   subtract the spilled contribution (late-conviction path) *)
+   folded and its commit bulk evicted: the aggregate must subtract the
+   spilled contribution (late-conviction path) *)
 let test_stream_late_conviction () =
   let mk_transport () =
     Netsim.create
@@ -294,17 +250,12 @@ let test_stream_stats () =
 let () =
   Alcotest.run "stream"
     [
-      ( "acc",
-        [
-          Alcotest.test_case "flush/carry = deferred eval" `Quick test_acc_flush_equals_eval;
-          Alcotest.test_case "capacity ratchet" `Quick test_acc_capacity_ratchet;
-          Alcotest.test_case "sharded merge" `Quick test_acc_merge;
-        ] );
       ( "differential",
         [
           Alcotest.test_case "honest, jobs x shards" `Quick test_stream_honest_matrix;
           Alcotest.test_case "batch-size edges" `Quick test_stream_batch_edges;
           Alcotest.test_case "reordered/duplicated arrivals" `Slow test_stream_reordered_matrix;
+          Alcotest.test_case "flipped arrivals" `Slow test_stream_flipped_matrix;
           Alcotest.test_case "corruption/bisection parity" `Slow test_stream_corruption_parity;
           Alcotest.test_case "late agg-stage conviction" `Quick test_stream_late_conviction;
         ] );

@@ -178,6 +178,12 @@ let d = 8
 let k = 3
 let bound = 900.0
 
+(* Unix.fork is illegal once any domain has been spawned (OCaml 5).
+   [Setup.create] and the in-process reference runs would otherwise warm
+   the Parallel pool, so the pin comes before the first of them; the
+   params here are tiny, so everything runs inline *)
+let () = Parallel.set_default_jobs 1
+
 let params = Params.make ~n_clients:n ~max_malicious:m ~d ~k ~m_factor:128.0 ~bound_b:bound ()
 let setup = Setup.create ~label:"cli/test-transport" params
 
@@ -249,8 +255,7 @@ let client_cfg ?(setup = setup) ~addr ~seed ~id ~rounds ?die_at ?(loris = false)
     rejoin;
   }
 
-let server_cfg ?(setup = setup) ~addr ~seed ~rounds ?wal ?crash ?stream ?churn
-    ?(deadline = 60.0) () =
+let server_cfg ?(setup = setup) ~addr ~seed ~rounds ?wal ?crash ?churn ?(deadline = 60.0) () =
   {
     Tserver.addr;
     setup;
@@ -259,7 +264,7 @@ let server_cfg ?(setup = setup) ~addr ~seed ~rounds ?wal ?crash ?stream ?churn
     stage_deadline_s = deadline;
     wal_path = wal;
     crash;
-    stream;
+    stream = Risefl_core.Server.stream_cfg ();
     topology = Risefl_topology.Topology.Full;
     churn;
   }
@@ -463,10 +468,6 @@ let test_serve_churn () =
     cli_outs
 
 let () =
-  (* Unix.fork is illegal once any domain has been spawned (OCaml 5), and
-     the in-process reference runs would otherwise warm the Parallel
-     pool; the params here are tiny, so run everything inline *)
-  Parallel.set_default_jobs 1;
   Alcotest.run "transport"
     [
       ( "frame",
